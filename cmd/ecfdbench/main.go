@@ -115,6 +115,7 @@ func explainPlans(seed int64) error {
 	eng := sqldriver.Engine(dsn)
 	qsvSelect, qsvUpdate, qmvInsert, mvUpdate := d.SQL()
 	qsvSlice, qmvRange, mvSlice := d.ParallelSQL()
+	keysFromDel, deleteRows, auxRecompute, mvSetOld, mvClear := d.IncrementalSQL()
 	for _, s := range []struct{ name, q string }{
 		{"Qsv (select form)", qsvSelect},
 		{"Qsv (SV update)", qsvUpdate},
@@ -123,6 +124,11 @@ func explainPlans(seed int64) error {
 		{"Qsv RID slice (parallel)", qsvSlice},
 		{"Qmv CID range (parallel)", qmvRange},
 		{"MV RID slice (parallel)", mvSlice},
+		{"touched keys of ΔD⁻ (incremental)", keysFromDel},
+		{"ΔD⁻ delete (incremental)", deleteRows},
+		{"touched-group recompute (incremental)", auxRecompute},
+		{"MV set on newly violating groups (incremental)", mvSetOld},
+		{"MV clear on groups that stopped violating (incremental)", mvClear},
 		{"Violations (ORDER BY RID)", fmt.Sprintf(
 			"SELECT RID FROM %s WHERE SV = 1 OR MV = 1 ORDER BY RID", d.DataTable())},
 	} {

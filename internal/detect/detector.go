@@ -57,7 +57,7 @@ type Detector struct {
 	dataTable   string
 	encTable    string
 	auxTable    string
-	auxOldTable string // affected Aux rows saved before a recompute
+	auxOldTable string // touched Aux rows saved before a recompute; then those that left Aux
 	auxNewTable string // groups that became violating in this step
 	keysTable   string
 	insTable    string
@@ -87,6 +87,7 @@ type statements struct {
 	auxDeleteAff string
 	auxSaveOld   string
 	auxNewComp   string
+	auxOldGone   string // reduce aux_old to the groups that stopped violating
 	auxRecompute string
 	mvSetNew     string // parameterized by the first RID of the batch
 	mvSetOld     string // parameterized likewise

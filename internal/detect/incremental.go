@@ -38,8 +38,8 @@ func (d *Detector) InsertTuples(batch *relation.Relation) ([]int64, IncStats, er
 // flags and Aux(D) (paper §V-B, deletions): deletions cannot introduce
 // violations, so the work is collecting the touched group keys from the
 // doomed tuples, removing the rows, recomputing the touched Aux groups,
-// and clearing MV on tuples of touched groups that no longer match any
-// Aux pattern.
+// and clearing MV on members of groups that stopped violating when they
+// no longer match any Aux pattern.
 func (d *Detector) DeleteTuples(rids []int64) (IncStats, error) {
 	if len(rids) == 0 {
 		return IncStats{}, nil

@@ -485,8 +485,9 @@ func (s *ShardedDetector) BatchDetect() (BatchStats, error) {
 //     rows and applies ΔD to its partition;
 //  3. scatter the keys-restricted macro export, gather, regroup — the
 //     recomputed state of every touched group;
-//  4. broadcast the recomputed groups (and the newly-violating subset)
-//     to the coordinator Aux and every replica; flag MV shard-local.
+//  4. broadcast the recomputed groups (and the newly- and
+//     no-longer-violating subsets) to the coordinator Aux and every
+//     replica; flag MV shard-local.
 //
 // Requires current flags/Aux (run BatchDetect once after LoadData).
 func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([]int64, IncStats, error) {
@@ -600,9 +601,20 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 	}
 	recomputed := groupViolating(mergePatRows(macroSets), w)
 	var auxNew []patRow
+	newSet := make(map[string]bool, len(recomputed))
 	for _, r := range recomputed {
+		newSet[r.key()] = true
 		if !oldSet[r.key()] {
 			auxNew = append(auxNew, r)
+		}
+	}
+	// The touched groups that stopped violating: the only groups whose
+	// members mvClear has to look at (the serial path's aux_old after
+	// auxOldGone).
+	var auxGone []patRow
+	for _, r := range coordAux {
+		if oldSet[r.key()] && !newSet[r.key()] {
+			auxGone = append(auxGone, r)
 		}
 	}
 
@@ -621,19 +633,25 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 		return fail(err)
 	}
 
-	// Stage 4b: broadcast the recomputed groups and flag MV shard-local
+	// Stage 4b: broadcast the recomputed groups, the newly-violating
+	// and the no-longer-violating subsets, and flag MV shard-local
 	// (mvSetNew on the merged batch rows, mvSetOld on pre-existing rows
 	// of newly-violating groups, mvClear on no-longer-matching rows of
-	// touched groups).
+	// groups that stopped violating).
 	err = s.eachShard(func(i int, sh *shardStore) error {
 		if err := sh.d.insertPatRows(sh.d.auxTable, recomputed); err != nil {
 			return err
 		}
-		if _, err := sh.d.db.Exec("TRUNCATE TABLE " + sh.d.auxNewTable); err != nil {
-			return err
-		}
-		if err := sh.d.insertPatRows(sh.d.auxNewTable, auxNew); err != nil {
-			return err
+		for _, sub := range []struct {
+			table string
+			rows  []patRow
+		}{{sh.d.auxNewTable, auxNew}, {sh.d.auxOldTable, auxGone}} {
+			if _, err := sh.d.db.Exec("TRUNCATE TABLE " + sub.table); err != nil {
+				return err
+			}
+			if err := sh.d.insertPatRows(sub.table, sub.rows); err != nil {
+				return err
+			}
 		}
 		_, err := sh.d.db.Exec(sh.d.stmts.shardIncPost, firstRID, firstRID)
 		return err

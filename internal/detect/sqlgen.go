@@ -16,26 +16,27 @@ func (d *Detector) generateSQL() {
 		qmvInsert:    d.genQmvInsert(),
 		mvUpdate:     d.genMVUpdate(),
 		resetFlags:   fmt.Sprintf("UPDATE %s SET %s = 0, %s = 0", d.dataTable, ColSV, ColMV),
-		keysFromIns:  d.genKeys(d.insTable, ""),
-		keysFromDel:  d.genKeys(d.dataTable, fmt.Sprintf("t.%s IN (SELECT %s FROM %s)", ColRID, ColRID, d.delTable)),
+		keysFromIns:  d.genKeys(d.insTable+" t", ""),
+		keysFromDel:  d.genKeys(fmt.Sprintf("%s x, %s t", d.delTable, d.dataTable), fmt.Sprintf("t.%s = x.%s", ColRID, ColRID)),
 		auxDeleteAff: d.genAuxDeleteAffected(),
 		auxSaveOld:   d.genAuxSaveOld(),
 		auxNewComp:   d.genAuxNewCompute(),
+		auxOldGone:   d.genAuxOldGone(),
 		auxRecompute: d.genAuxRecompute(),
 		mvSetNew:     d.genMVSetNewRows(),
 		mvSetOld:     d.genMVSetOldRows(),
 		mvClear:      d.genMVClear(),
 		svOnIns:      d.genSVUpdate(d.insTable),
 		mergeIns:     fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", d.dataTable, d.insTable),
-		deleteRows: fmt.Sprintf("DELETE FROM %s WHERE %s IN (SELECT %s FROM %s)",
-			d.dataTable, ColRID, ColRID, d.delTable),
+		deleteRows: fmt.Sprintf("DELETE FROM %s t WHERE EXISTS (SELECT 1 FROM %s x WHERE x.%s = t.%s)",
+			d.dataTable, d.delTable, ColRID, ColRID),
 		qsvRIDsSlice:    d.genQsvRIDsSlice(),
 		qmvGroupsCIDRng: d.genQmvGroupsCIDRange(),
 		checkSVRIDs:     d.genCheckSVRIDs(),
 		checkMVRIDs:     d.genCheckMVRIDs(),
 		mvRIDsSlice:     d.genMVRIDsSlice(),
 		qmvMacroCIDRng:  d.macro(d.dataTable, "c.CID >= ? AND c.CID <= ?"),
-		qmvMacroKeys:    d.macro(d.dataTable, d.keysProbe()),
+		qmvMacroKeys:    d.macro(d.dataTable, d.touchedGroups()),
 		keysSelect:      d.genPatternSelect(d.keysTable),
 		auxSelect:       d.genPatternSelect(d.auxTable),
 	}
@@ -66,6 +67,7 @@ func (d *Detector) generateSQL() {
 		d.stmts.auxRecompute,
 		"TRUNCATE TABLE " + d.auxNewTable,
 		d.stmts.auxNewComp,
+		d.stmts.auxOldGone, // aux_old now holds the groups that stopped violating
 		d.stmts.mvSetNew,
 		d.stmts.mvSetOld,
 		d.stmts.mvClear,
@@ -123,6 +125,13 @@ func (d *Detector) SQL() (qsvSelect, qsvUpdate, qmvInsert, mvUpdate string) {
 // pruned through the data table's ordered RID index.
 func (d *Detector) ParallelSQL() (qsvRIDsSlice, qmvGroupsCIDRange, mvRIDsSlice string) {
 	return d.stmts.qsvRIDsSlice, d.stmts.qmvGroupsCIDRng, d.stmts.mvRIDsSlice
+}
+
+// IncrementalSQL returns the statements of the §V-B maintenance script
+// that reach the data table — the ones ΔD and the touched keys drive —
+// for inspection and testing.
+func (d *Detector) IncrementalSQL() (keysFromDel, deleteRows, auxRecompute, mvSetOld, mvClear string) {
+	return d.stmts.keysFromDel, d.stmts.deleteRows, d.stmts.auxRecompute, d.stmts.mvSetOld, d.stmts.mvClear
 }
 
 // setProbe renders EXISTS (or NOT EXISTS) over a pattern-set table:
@@ -202,15 +211,23 @@ func (d *Detector) caseProj(side, attr string) string {
 // (pattern tuple, matching data tuple), with attributes irrelevant to
 // the embedded FD blanked out. extraWhere, when non-empty, is placed
 // first so cheap restrictions short-circuit the pattern matching.
+//
+// The RHS guard drops pattern tuples whose embedded FD has no Y
+// attribute: every RHS column of theirs projects to '@', so each of
+// their groups holds one distinct RHS combination and can never
+// violate. It reads only the enc row, so the planner decides it once
+// per pattern and never scans D for such a CID.
 func (d *Detector) macro(dataTable, extraWhere string) string {
 	cols := []string{"c.CID AS CID"}
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, fmt.Sprintf("%s AS %s_P", d.caseProj("L", a.Name), a.Name))
 	}
+	var rhs []string
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, fmt.Sprintf("%s AS %s_RV", d.caseProj("R", a.Name), a.Name))
+		rhs = append(rhs, fmt.Sprintf("c.%s_R > 0", a.Name))
 	}
-	where := d.lhsMatch()
+	where := "(" + strings.Join(rhs, " OR ") + ")\n    AND " + d.lhsMatch()
 	if extraWhere != "" {
 		where = extraWhere + "\n    AND " + where
 	}
@@ -287,9 +304,16 @@ func (d *Detector) genMVRIDsSlice() string {
 	// statement set. DISTINCT collapses tuples matching several
 	// patterns; the parallel driver sorts and dedups the merged slices
 	// anyway, so the result contract is unchanged.
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
 	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE t.%s >= ? AND t.%s <= ? AND %s AND %s",
-		ColRID, d.dataTable, d.encTable, ColRID, ColRID, cidGuard, d.auxProbe(d.auxTable))
+		ColRID, d.dataTable, d.encTable, ColRID, ColRID, d.cidGuard(d.auxTable), d.auxProbe(d.auxTable))
+}
+
+// cidGuard renders "the Aux-shaped table holds some row for c's CID".
+// It reads only the enc row, so leading a conjunction with it lets the
+// planner dismiss a whole pattern tuple — and its scan of D — once per
+// pattern instead of once per (tuple, pattern) pair.
+func (d *Detector) cidGuard(table string) string {
+	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", table)
 }
 
 // auxProbe renders "t matches some (cid, p) in table for c's CID": the
@@ -310,9 +334,8 @@ func (d *Detector) auxProbe(table string) string {
 // it once per pattern and skips the projection probes for every data
 // tuple when a CID has no violating groups at all.
 func (d *Detector) genMVUpdate() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
 	return fmt.Sprintf("UPDATE %s t SET %s = 1 WHERE EXISTS (SELECT 1 FROM %s c WHERE %s AND %s)",
-		d.dataTable, ColMV, d.encTable, cidGuard, d.auxProbe(d.auxTable))
+		d.dataTable, ColMV, d.encTable, d.cidGuard(d.auxTable), d.auxProbe(d.auxTable))
 }
 
 // --- advisory check (Check) ---
@@ -337,14 +360,17 @@ func (d *Detector) genCheckSVRIDs() string {
 // merge. A tuple that would *newly* tip a clean group into violation
 // is not reported; that transition needs the recompute in ApplyUpdates.
 func (d *Detector) genCheckMVRIDs() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
 	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE %s AND %s",
-		ColRID, d.insTable, d.encTable, cidGuard, d.auxProbe(d.auxTable))
+		ColRID, d.insTable, d.encTable, d.cidGuard(d.auxTable), d.auxProbe(d.auxTable))
 }
 
 // genKeys collects the group keys touched by an update batch: the
 // (cid, p) projections of every (tuple, pattern) match in the batch.
-func (d *Detector) genKeys(sourceTable, extraWhere string) string {
+// from binds the batch's tuples as t: the ΔD⁺ staging table itself, or
+// the ΔD⁻ staging table joined to D on RID, so the deleted tuples are
+// found by probing D's RID index once per staged RID instead of by a
+// scan of D.
+func (d *Detector) genKeys(from, extraWhere string) string {
 	cols := []string{"c.CID"}
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, d.caseProj("L", a.Name))
@@ -353,8 +379,8 @@ func (d *Detector) genKeys(sourceTable, extraWhere string) string {
 	if extraWhere != "" {
 		where = extraWhere + "\n    AND " + where
 	}
-	return fmt.Sprintf("INSERT INTO %s SELECT DISTINCT %s FROM %s t, %s c WHERE %s",
-		d.keysTable, strings.Join(cols, ",\n    "), sourceTable, d.encTable, where)
+	return fmt.Sprintf("INSERT INTO %s SELECT DISTINCT %s FROM %s, %s c WHERE %s",
+		d.keysTable, strings.Join(cols, ",\n    "), from, d.encTable, where)
 }
 
 // auxMatch renders the column-wise equality of two Aux-shaped rows
@@ -404,8 +430,25 @@ func (d *Detector) genAuxNewCompute() string {
 		d.auxOldTable, d.auxMatch("o", "m0"))
 }
 
+// genAuxOldGone reduces the aux_old snapshot to the touched groups
+// that stopped violating: after the recompute, every snapshot row
+// still in Aux is dropped. Only these groups can leave a tuple with a
+// stale MV = 1, so they are all mvClear has to look at.
+func (d *Detector) genAuxOldGone() string {
+	return fmt.Sprintf("DELETE FROM %s o WHERE EXISTS (SELECT 1 FROM %s a WHERE %s)",
+		d.auxOldTable, d.auxTable, d.auxMatch("a", "o"))
+}
+
 func (d *Detector) genAuxRecompute() string {
-	return d.genQmvInsertRestricted(d.keysProbe())
+	return d.genQmvInsertRestricted(d.touchedGroups())
+}
+
+// touchedGroups restricts the Qmv macro to the touched group keys: the
+// per-CID guard dismisses every pattern tuple with no touched key
+// before D is scanned for it, and the keys probe dismisses the
+// remaining untouched (tuple, pattern) pairs in O(1).
+func (d *Detector) touchedGroups() string {
+	return d.cidGuard(d.keysTable) + "\n    AND " + d.keysProbe()
 }
 
 // keysProbe renders "the (c, t) pair projects onto a touched group
@@ -434,17 +477,23 @@ func (d *Detector) genMVSetNewRows() string {
 // which is the common case; with aux_new empty the statement degrades
 // to one cheap probe per pair.
 func (d *Detector) genMVSetOldRows() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxNewTable)
 	return fmt.Sprintf(
 		"UPDATE %s t SET %s = 1 WHERE t.%s < ? AND t.%s = 0 AND EXISTS (SELECT 1 FROM %s c WHERE %s AND %s)",
-		d.dataTable, ColMV, ColRID, ColMV, d.encTable, cidGuard, d.auxProbe(d.auxNewTable))
+		d.dataTable, ColMV, ColRID, ColMV, d.encTable, d.cidGuard(d.auxNewTable), d.auxProbe(d.auxNewTable))
 }
 
-// genMVClear clears MV on tuples in touched groups that no longer
-// match any Aux pattern at all (they may still be violating through an
-// untouched group, which the NOT EXISTS over the full Aux preserves).
+// genMVClear clears MV on members of groups that stopped violating
+// (aux_old after genAuxOldGone) that no longer match any Aux pattern at
+// all — they may still be violating through another group, which the
+// NOT EXISTS over the full Aux preserves. This is exact: a tuple with
+// MV = 1 matched some Aux group before the update, and it needs
+// clearing only if that group left Aux; only touched groups are
+// recomputed, so only they can leave. The same per-CID guard as
+// genMVSetOldRows leads, so with no group gone the statement never
+// scans D.
 func (d *Detector) genMVClear() string {
 	return fmt.Sprintf(
-		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
-		d.dataTable, ColMV, ColMV, d.encTable, d.keysProbe(), d.encTable, d.auxProbe(d.auxTable))
+		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s AND %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
+		d.dataTable, ColMV, ColMV, d.encTable, d.cidGuard(d.auxOldTable), d.auxProbe(d.auxOldTable),
+		d.encTable, d.auxProbe(d.auxTable))
 }

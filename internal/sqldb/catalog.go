@@ -645,17 +645,8 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 // filter-and-remap pass.
 func (db *DB) applyDelete(t *Table, dels []int) {
 	td := db.curW.tds[t]
-	nrows := make([]relation.Tuple, 0, len(td.rows)-len(dels))
-	di := 0
-	for ri, row := range td.rows {
-		if di < len(dels) && dels[di] == ri {
-			di++
-			continue
-		}
-		nrows = append(nrows, row)
-	}
 	ntd := &tableData{
-		rows:    nrows,
+		rows:    dropPositions(td.rows, dels),
 		version: td.version + 1,
 		cols:    td.cols.forkDeleted(dels),
 	}
@@ -804,7 +795,7 @@ func (d *colData) forkUpdated(pos []int, setCols []int, vals [][]relation.Value)
 }
 
 // forkDeleted forks the cache for a DELETE: each built vector is
-// filtered in one pass; its new length is exactly the compacted cover
+// compacted run by run; its new length is exactly the compacted cover
 // of the positions it described.
 func (d *colData) forkDeleted(dels []int) *colData {
 	d.mu.RLock()
@@ -815,21 +806,27 @@ func (d *colData) forkDeleted(dels []int) *colData {
 	}
 	nd.vecs = make([][]relation.Value, len(d.vecs))
 	for ci, v := range d.vecs {
-		if v == nil {
-			continue
+		if v != nil {
+			nd.vecs[ci] = dropPositions(v, dels)
 		}
-		keep := make([]relation.Value, 0, len(v))
-		di := 0
-		for ri := range v {
-			if di < len(dels) && dels[di] == ri {
-				di++
-				continue
-			}
-			keep = append(keep, v[ri])
-		}
-		nd.vecs[ci] = keep
 	}
 	return nd
+}
+
+// dropPositions returns a fresh copy of v without the positions dels
+// (ascending; positions at or beyond len(v) are ignored), copying the
+// runs between deleted positions wholesale. The copy keeps v's length
+// as its capacity, so the insert that usually follows a delete (the
+// detector's ΔD⁺ merge) appends in place instead of reallocating.
+func dropPositions[T any](v []T, dels []int) []T {
+	n := sort.SearchInts(dels, len(v))
+	out := make([]T, 0, len(v))
+	prev := 0
+	for _, di := range dels[:n] {
+		out = append(out, v[prev:di]...)
+		prev = di + 1
+	}
+	return append(out, v[prev:]...)
 }
 
 // forkTruncated forks the cache for TRUNCATE: built vectors become
@@ -877,6 +874,23 @@ func (td *tableData) lookupEq(t *Table, idx *Index) (*indexData, int) {
 		d.extendEq(idx, td.rows, f)
 	}
 	return d, f
+}
+
+// eqViaOrdered reports whether an exact-cover equality probe on idx
+// should binary-search the ordered positions (eqPrefixRange with every
+// index column in the prefix) instead of probing the equality map:
+// true unless the map is already built, or the ordered structure has
+// been rebased past this epoch's rows (an old pinned reader would
+// re-sort per probe). A join probing a handful of keys — the
+// detector's ΔD⁻ RIDs against the RID index — then never builds a hash
+// map over the whole table, and leaves no map for every later DELETE
+// to filter and remap; the ordered positions it may build instead are
+// one int per row, appended in place on monotone inserts.
+func (td *tableData) eqViaOrdered(idx *Index) bool {
+	d := td.indexData(idx)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.m == nil && (d.sorted == nil || d.sBase <= len(td.rows))
 }
 
 // extendEq builds (or grows) the equality map to cover fence f.
@@ -1159,26 +1173,20 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 
 // forkDeleted forks the structures for a DELETE: surviving positions
 // are filtered and remapped in one pass per structure — no key
-// encoding, no re-sort, no rehash.
+// encoding, no re-sort, no rehash. Buckets lying wholly below the
+// first deleted position keep their positions and are shared.
 func (d *indexData) forkDeleted(dels []int) *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	remap := func(ri int) int { return ri - sort.SearchInts(dels, ri) }
-	deleted := func(ri int) bool {
-		i := sort.SearchInts(dels, ri)
-		return i < len(dels) && dels[i] == ri
-	}
 	if d.m != nil {
 		nm := make(map[string][]int, len(d.m))
 		for k, b := range d.m {
-			var keep []int
-			for _, ri := range b {
-				if !deleted(ri) {
-					keep = append(keep, remap(ri))
-				}
+			if len(dels) == 0 || b[len(b)-1] < dels[0] {
+				nm[k] = b[:len(b):len(b)]
+				continue
 			}
-			if len(keep) > 0 {
+			if keep := remapDeleted(nil, b, dels); len(keep) > 0 {
 				nm[k] = keep
 			}
 		}
@@ -1186,15 +1194,34 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 		nd.mCover = d.mCover - sort.SearchInts(dels, d.mCover)
 	}
 	if d.sorted != nil {
-		keep := make([]int, 0, len(d.sorted))
-		for _, ri := range d.sorted {
-			if !deleted(ri) {
-				keep = append(keep, remap(ri))
-			}
-		}
-		nd.sorted, nd.sBase = keep, len(keep)
+		nd.sorted = remapDeleted(make([]int, 0, len(d.sorted)), d.sorted, dels)
+		nd.sBase = len(nd.sorted)
 	}
 	return nd
+}
+
+// remapDeleted appends to dst every position of src not in dels
+// (ascending), shifted down by the number of deleted positions below
+// it. An ascending stretch of src walks one cursor through dels, so
+// the shift is found without a search per position — a RID index
+// over monotone RIDs is one such stretch end to end; a descent
+// re-seeks the cursor by binary search.
+func remapDeleted(dst, src, dels []int) []int {
+	j, prev := 0, -1
+	for _, ri := range src {
+		if ri < prev || prev < 0 {
+			j = sort.SearchInts(dels, ri)
+		}
+		for j < len(dels) && dels[j] < ri {
+			j++
+		}
+		prev = ri
+		if j < len(dels) && dels[j] == ri {
+			continue
+		}
+		dst = append(dst, ri-j)
+	}
+	return dst
 }
 
 // forkTruncated forks the structures for TRUNCATE: built becomes

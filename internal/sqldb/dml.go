@@ -182,16 +182,22 @@ type setter struct {
 }
 
 type updatePlan struct {
-	t       *Table
-	table   string
-	where   compiledExpr
+	rowSel
 	setters []setter
+}
+
+// rowSel is the row selection of an UPDATE or DELETE: the WHERE
+// closure over the target plus the two planned forms of the same
+// filter. Running a planned form and collecting the distinct target
+// row positions is equivalent to filtering every row with the closure.
+type rowSel struct {
+	t     *Table
+	where compiledExpr
 	// semi, when non-nil, is the joint semi-join select over
-	// [target] + EXISTS-subquery sources: running it and collecting the
-	// distinct target row indices is equivalent to filtering rows with
-	// the WHERE clause, but lets the planner drive the join from the
-	// small side (the paper's pattern tables) instead of probing the
-	// EXISTS once per data row.
+	// [target] + EXISTS-subquery sources: it lets the planner drive the
+	// join from the small side (the paper's pattern tables, the
+	// detector's ΔD staging tables) instead of probing the EXISTS once
+	// per target row.
 	semi *compiledSelect
 	// filterSel is the planned single-source select over the target with
 	// the same WHERE: when the semi-join path is not taken, the row
@@ -203,11 +209,37 @@ type updatePlan struct {
 }
 
 // disableSemiJoinUpdate / forceSemiJoinUpdate are test hooks for the
-// differential suite; production code leaves both false.
+// differential suite; production code leaves both false. They steer
+// DELETE's row selection as well as UPDATE's.
 var (
 	disableSemiJoinUpdate = false
 	forceSemiJoinUpdate   = false
 )
+
+// compileRowSel compiles the WHERE of an UPDATE or DELETE on table
+// (alias optional) with c, whose single scope is the target, and
+// plans its semi-join and single-source forms.
+func (db *DB) compileRowSel(c *compiler, t *Table, table, alias string, where Expr, ep *epoch) (rowSel, error) {
+	rs := rowSel{t: t}
+	if where == nil {
+		return rs, nil
+	}
+	var err error
+	if rs.where, err = c.compileExpr(where); err != nil {
+		return rs, err
+	}
+	rs.semi = db.trySemiJoin(table, alias, where, ep)
+	synth := &Select{
+		Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
+		From:  []TableRef{{Table: table, Alias: alias}},
+		Where: where,
+	}
+	fc := &compiler{db: db, ep: ep}
+	if cs, err := fc.compileSubSelect(synth); err == nil && cs.planOK && !cs.grouped {
+		rs.filterSel = cs
+	}
+	return rs, nil
+}
 
 func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
 	t, err := ep.table(up.Table)
@@ -222,11 +254,9 @@ func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
 		{sources: []sourceInfo{{name: name, cols: t.Schema.Names()}}},
 	}}
 
-	p := &updatePlan{t: t, table: up.Table}
-	if up.Where != nil {
-		if p.where, err = c.compileExpr(up.Where); err != nil {
-			return nil, err
-		}
+	p := &updatePlan{}
+	if p.rowSel, err = db.compileRowSel(c, t, up.Table, up.Alias, up.Where, ep); err != nil {
+		return nil, err
 	}
 	p.setters = make([]setter, len(up.Set))
 	for i, a := range up.Set {
@@ -246,30 +276,20 @@ func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
 			}
 		}
 	}
-	p.semi = db.trySemiJoinUpdate(up, name, ep)
-	if up.Where != nil {
-		synth := &Select{
-			Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
-			From:  []TableRef{{Table: up.Table, Alias: up.Alias}},
-			Where: up.Where,
-		}
-		fc := &compiler{db: db, ep: ep}
-		if cs, err := fc.compileSubSelect(synth); err == nil && cs.planOK && !cs.grouped {
-			p.filterSel = cs
-		}
-	}
 	return p, nil
 }
 
-// trySemiJoinUpdate builds the joint semi-join select for an UPDATE
-// whose WHERE contains a plain EXISTS over base tables. Returns nil
-// when the shape does not qualify; the row-filter path then applies.
-func (db *DB) trySemiJoinUpdate(up *Update, name string, ep *epoch) *compiledSelect {
-	if up.Where == nil {
-		return nil
+// trySemiJoin builds the joint semi-join select for an UPDATE or
+// DELETE whose WHERE contains a plain EXISTS over base tables. Returns
+// nil when the shape does not qualify; the row-filter path then
+// applies.
+func (db *DB) trySemiJoin(table, alias string, where Expr, ep *epoch) *compiledSelect {
+	name := alias
+	if name == "" {
+		name = table
 	}
 	var conjs []Expr
-	splitConjuncts(up.Where, &conjs)
+	splitConjuncts(where, &conjs)
 	exIdx := -1
 	var sub *Select
 	for i, cj := range conjs {
@@ -293,21 +313,21 @@ func (db *DB) trySemiJoinUpdate(up *Update, name string, ep *epoch) *compiledSel
 	if exIdx < 0 {
 		return nil
 	}
-	where := sub.Where
+	joint := sub.Where
 	for i, cj := range conjs {
 		if i == exIdx {
 			continue
 		}
-		if where == nil {
-			where = cj
+		if joint == nil {
+			joint = cj
 		} else {
-			where = &Binary{Op: "AND", L: where, R: cj}
+			joint = &Binary{Op: "AND", L: joint, R: cj}
 		}
 	}
 	synth := &Select{
 		Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
-		From:  append([]TableRef{{Table: up.Table, Alias: up.Alias}}, sub.From...),
-		Where: where,
+		From:  append([]TableRef{{Table: table, Alias: alias}}, sub.From...),
+		Where: joint,
 	}
 	c := &compiler{db: db, ep: ep}
 	cs, err := c.compileSubSelect(synth)
@@ -336,25 +356,105 @@ func semiJoinable(sub *Select) bool {
 	return true
 }
 
-// useSemiJoin reports whether the update would take the semi-join
+// useSemiJoin reports whether the statement would take the semi-join
 // path given the epoch's table sizes: worth it when a subquery source
 // is meaningfully smaller than the target, so the join is driven from
-// that side instead of probing the EXISTS once per target row. Shared
-// by runUpdate (against db.curW) and EXPLAIN (against a pinned
-// snapshot) so the reported access path is the one that actually
-// executes.
-func (p *updatePlan) useSemiJoin(ep *epoch) bool {
-	if p.semi == nil || DisablePlanner || disableSemiJoinUpdate {
+// that side instead of probing the EXISTS once per target row.
+func (rs *rowSel) useSemiJoin(ep *epoch) bool {
+	if rs.semi == nil || DisablePlanner || disableSemiJoinUpdate {
 		return false
 	}
-	target := len(ep.tds[p.t].rows)
+	target := len(ep.tds[rs.t].rows)
 	minSub := target + 1
-	for _, src := range p.semi.sources[1:] {
+	for _, src := range rs.semi.sources[1:] {
 		if n := len(ep.tds[src.table].rows); n < minSub {
 			minSub = n
 		}
 	}
 	return forceSemiJoinUpdate || minSub*4 <= target
+}
+
+// planned returns the select the row selection runs through at ep —
+// the semi-join or the single-source batched scan — or nil for the
+// per-row closure loop. Shared by execution (against db.curW) and
+// EXPLAIN (against a pinned snapshot), so the reported access path is
+// the one that actually executes.
+func (rs *rowSel) planned(ep *epoch) (sel *compiledSelect, semi bool) {
+	switch {
+	case rs.useSemiJoin(ep):
+		return rs.semi, true
+	case rs.filterSel != nil && !DisablePlanner:
+		return rs.filterSel, false
+	}
+	return nil, false
+}
+
+// selectRows returns the ascending, distinct positions of the target
+// rows the WHERE selects in the writer's epoch. The planned forms may
+// visit rows in any order (and the semi-join once per matching
+// subquery row), so their positions are deduped and sorted; the
+// closure loop yields them in order.
+func (rs *rowSel) selectRows(db *DB, params []relation.Value) ([]int, error) {
+	rows := db.curW.tds[rs.t].rows
+	if sel, _ := rs.planned(db.curW); sel != nil {
+		matched := make(map[int]bool)
+		err := sel.semiScan(newEnv(db, db.curW, params), func(idx []int) error {
+			matched[idx[0]] = true
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		ris := make([]int, 0, len(matched))
+		for ri := range matched {
+			ris = append(ris, ri)
+		}
+		sort.Ints(ris)
+		return ris, nil
+	}
+	var ris []int
+	if rs.where == nil {
+		ris = make([]int, len(rows))
+		for ri := range ris {
+			ris[ri] = ri
+		}
+		return ris, nil
+	}
+	en := newEnv(db, db.curW, params)
+	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+	fr := &en.frames[0]
+	for ri, row := range rows {
+		fr.rows[0] = row
+		v, err := rs.where(en)
+		if err != nil {
+			return nil, err
+		}
+		if v.Truth() {
+			ris = append(ris, ri)
+		}
+	}
+	return ris, nil
+}
+
+// describe renders the row-selection strategy for EXPLAIN; verb names
+// the statement for the unfiltered case.
+func (rs *rowSel) describe(ep *epoch, verb string) []string {
+	sel, semi := rs.planned(ep)
+	switch {
+	case sel != nil:
+		head := "planned row selection:"
+		if semi {
+			head = "semi-join row selection:"
+		}
+		out := []string{head}
+		for _, line := range sel.describePlan(ep) {
+			out = append(out, "  "+line)
+		}
+		return out
+	case rs.where == nil:
+		return []string{"full table " + verb + " (no filter)"}
+	}
+	return []string{"full scan with row filter"}
 }
 
 func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
@@ -364,16 +464,21 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	t := p.t
 	// Two phases: evaluate against the unmodified epoch, then apply a
 	// copy-on-write transition, so the statement sees a consistent
-	// snapshot of its own target.
+	// snapshot of its own target. The row selection runs planned where
+	// it can: the semi-join (the target joins the EXISTS sources,
+	// driven from the small side) or the single-source batched scan
+	// (simple WHERE conjuncts run as kernel filters).
+	ris, err := p.selectRows(db, params)
+	if err != nil {
+		return 0, err
+	}
+	if len(ris) == 0 {
+		return 0, nil
+	}
 	tRows := db.curW.tds[t].rows
 	en := newEnv(db, db.curW, params)
 	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
 	fr := &en.frames[0]
-	type change struct {
-		ri   int
-		vals []relation.Value
-	}
-	var changes []change
 	allConst := true
 	for _, s := range p.setters {
 		if !s.isConst {
@@ -388,108 +493,45 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 			constVals[i] = s.constVal
 		}
 	}
-	evalRow := func(ri int) error {
+	vals := make([][]relation.Value, len(ris))
+	for k, ri := range ris {
 		if allConst {
-			changes = append(changes, change{ri: ri, vals: constVals})
-			return nil
+			vals[k] = constVals
+			continue
 		}
-		vals := make([]relation.Value, len(p.setters))
+		fr.rows[0] = tRows[ri]
+		row := make([]relation.Value, len(p.setters))
 		for i, s := range p.setters {
 			if s.isConst {
-				vals[i] = s.constVal
+				row[i] = s.constVal
 				continue
 			}
 			v, err := s.ex(en)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			if vals[i], err = coerce(v, t.Schema.Attrs[s.col].Kind, t.Schema.Attrs[s.col].Name); err != nil {
-				return err
-			}
-		}
-		changes = append(changes, change{ri: ri, vals: vals})
-		return nil
-	}
-
-	useSemi := p.useSemiJoin(db.curW)
-
-	// Planned row selection: semi-join (the target joins the EXISTS
-	// sources, driven from the small side) or the single-source batched
-	// scan (simple WHERE conjuncts run as kernel filters). Both collect
-	// the distinct target row indices, deduped and sorted — evalRow and
-	// the index-maintenance bracket below depend on ascending, unique
-	// positions regardless of the scan's visit order.
-	var sel *compiledSelect
-	switch {
-	case useSemi:
-		sel = p.semi
-	case p.filterSel != nil && !DisablePlanner:
-		sel = p.filterSel
-	}
-	if sel != nil {
-		sen := newEnv(db, db.curW, params)
-		matched := make(map[int]bool)
-		err := sel.semiScan(sen, func(idx []int) error {
-			matched[idx[0]] = true
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		ris := make([]int, 0, len(matched))
-		for ri := range matched {
-			ris = append(ris, ri)
-		}
-		sort.Ints(ris)
-		for _, ri := range ris {
-			fr.rows[0] = tRows[ri]
-			if err := evalRow(ri); err != nil {
+			if row[i], err = coerce(v, t.Schema.Attrs[s.col].Kind, t.Schema.Attrs[s.col].Name); err != nil {
 				return 0, err
 			}
 		}
-	} else {
-		for ri, row := range tRows {
-			fr.rows[0] = row
-			if p.where != nil {
-				v, err := p.where(en)
-				if err != nil {
-					return 0, err
-				}
-				if !v.Truth() {
-					continue
-				}
-			}
-			if err := evalRow(ri); err != nil {
-				return 0, err
-			}
-		}
+		vals[k] = row
 	}
 
-	if len(changes) == 0 {
-		return 0, nil
-	}
 	// applyUpdate forks the next epoch copy-on-write: changed tuples are
 	// cloned and patched, shared structures (column vectors, indexes)
 	// fork only where the assigned columns overlap — so a flag update
 	// never touches a RID index, mirroring the old incremental
-	// maintenance. changes is ascending in ri on both the semi-join and
-	// the filter path.
-	pos := make([]int, len(changes))
-	vals := make([][]relation.Value, len(changes))
-	for i, ch := range changes {
-		pos[i] = ch.ri
-		vals[i] = ch.vals
-	}
+	// maintenance. ris is ascending (selectRows).
 	setCols := make([]int, len(p.setters))
 	for i, s := range p.setters {
 		setCols[i] = s.col
 	}
-	if err := db.logUpdate(t.Name, pos, setCols, vals); err != nil {
+	if err := db.logUpdate(t.Name, ris, setCols, vals); err != nil {
 		return 0, err
 	}
 	db.backupForTx(t)
-	db.applyUpdate(t, pos, setCols, vals)
-	return int64(len(changes)), nil
+	db.applyUpdate(t, ris, setCols, vals)
+	return int64(len(ris)), nil
 }
 
 func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {
@@ -503,8 +545,7 @@ func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {
 // --- DELETE ---
 
 type deletePlan struct {
-	t     *Table
-	where compiledExpr
+	rowSel
 }
 
 func (db *DB) compileDelete(del *Delete, ep *epoch) (*deletePlan, error) {
@@ -519,11 +560,9 @@ func (db *DB) compileDelete(del *Delete, ep *epoch) (*deletePlan, error) {
 	c := &compiler{db: db, ep: ep, scopes: []*scopeInfo{
 		{sources: []sourceInfo{{name: name, cols: t.Schema.Names()}}},
 	}}
-	p := &deletePlan{t: t}
-	if del.Where != nil {
-		if p.where, err = c.compileExpr(del.Where); err != nil {
-			return nil, err
-		}
+	p := &deletePlan{}
+	if p.rowSel, err = db.compileRowSel(c, t, del.Table, del.Alias, del.Where, ep); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -533,23 +572,9 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 		return 0, err
 	}
 	t := p.t
-	en := newEnv(db, db.curW, params)
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
-	fr := &en.frames[0]
-	var dropped []int
-	for ri, row := range db.curW.tds[t].rows {
-		drop := true
-		if p.where != nil {
-			fr.rows[0] = row
-			v, err := p.where(en)
-			if err != nil {
-				return 0, err
-			}
-			drop = v.Truth()
-		}
-		if drop {
-			dropped = append(dropped, ri)
-		}
+	dropped, err := p.selectRows(db, params)
+	if err != nil {
+		return 0, err
 	}
 	if len(dropped) == 0 {
 		return 0, nil
@@ -558,8 +583,8 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 		return 0, err
 	}
 	db.backupForTx(t)
-	// dropped is ascending by construction; applyDelete compacts the
-	// rows copy-on-write and filters/remaps built indexes instead of
+	// dropped is ascending (selectRows); applyDelete compacts the rows
+	// copy-on-write and filters/remaps built indexes instead of
 	// rebuilding (a one-row DELETE costs one pass of integer rewrites,
 	// no key encoding or re-sort).
 	db.applyDelete(t, dropped)

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -499,6 +500,7 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 			sort.SliceStable(order, func(a, b int) bool {
 				return len(srcRows[order[a]]) < len(srcRows[order[b]])
 			})
+			order = leadIndexChain(cs, srcRows, ep, order)
 		}
 	}
 	sch := &schedule{order: order}
@@ -605,7 +607,9 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 			probe.vals = make([]relation.Value, len(probe.keys))
 			if t := cs.sources[s].table; t != nil {
 				probe.idx, probe.perm = probeIndex(ep.tds[t], probe.buildCols)
-				if probe.idx == nil {
+				if probe.idx != nil {
+					probe.pfxVals = make([]relation.Value, len(probe.perm))
+				} else {
 					// No exact-cover index: a compound index whose leading
 					// columns are the probe columns still beats the hash
 					// build — binary-searched equality, optionally tightened
@@ -797,6 +801,44 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 		}
 	}
 	return sch
+}
+
+// leadIndexChain moves an index nested-loop pair to the front of a
+// size-sorted join order of three or more sources: when a base table P
+// is reached from a single source K no larger than P through an index
+// exactly covering P's side of their equality, K drives and P follows
+// as a probe level, ahead of every other source. Left size-first, a small
+// unrelated source would drive instead and multiply the probes by its
+// row count — the detector's ΔD⁻ staging table joined to D by RID, next
+// to the 13-row enc table, would probe D |enc| × |ΔD⁻| times instead of
+// |ΔD⁻|.
+func leadIndexChain(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch, order []int) []int {
+	if len(order) < 3 {
+		return order
+	}
+	for _, pc := range cs.conjs {
+		for _, eq := range pc.eqs {
+			k := bits.TrailingZeros64(uint64(eq.otherSrcs))
+			if eq.otherSrcs == 0 || eq.otherSrcs != srcMask(1)<<uint(k) {
+				continue
+			}
+			t := cs.sources[eq.src].table
+			if t == nil || len(srcRows[k]) > len(srcRows[eq.src]) {
+				continue
+			}
+			if idx, _ := probeIndex(ep.tds[t], []int{eq.col}); idx == nil {
+				continue
+			}
+			out := []int{k, eq.src}
+			for _, s := range order {
+				if s != k && s != eq.src {
+					out = append(out, s)
+				}
+			}
+			return out
+		}
+	}
+	return order
 }
 
 // estEntries bounds how many times a level will be entered: the product
@@ -1177,6 +1219,15 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 	}
 	if p.idx != nil {
 		t := cs.sources[lv.src].table
+		if td := en.td(t); td.eqViaOrdered(p.idx) {
+			// No equality map is built: binary-search the ordered
+			// positions with the whole key as the prefix rather than
+			// building a hash map over the table for a few probes.
+			for j, pi := range p.perm {
+				p.pfxVals[j] = p.vals[pi]
+			}
+			return td.eqPrefixRange(t, p.idx, p.pfxVals, relation.Value{}, relation.Value{}, false, false), false, nil
+		}
 		id, fence := en.td(t).lookupEq(t, p.idx)
 		key := p.keyBuf[:0]
 		for _, pi := range p.perm {
@@ -1345,6 +1396,8 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 		}
 		var line string
 		switch {
+		case lv.probe != nil && lv.probe.idx != nil && ep.tds[cs.sources[lv.src].table].eqViaOrdered(lv.probe.idx):
+			line = fmt.Sprintf("index probe %s via %s (binary search)%s", label, lv.probe.idx.Name, size)
 		case lv.probe != nil && lv.probe.idx != nil:
 			line = fmt.Sprintf("index probe %s via %s%s", label, lv.probe.idx.Name, size)
 		case lv.probe != nil && lv.probe.pfx != nil && (lv.probe.pfxLo != nil || lv.probe.pfxHi != nil):
@@ -1454,8 +1507,9 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 
 // Explain parses and compiles a single statement and reports the plan
 // the engine would run: join order, per-level access paths (scan, hash
-// join, index probe), predicate placement, and for UPDATE whether the
-// semi-join strategy is available.
+// join, index probe), predicate placement, and for UPDATE and DELETE
+// how the target rows are selected (semi-join, planned scan or
+// per-row filter), mirroring the runtime choice exactly.
 func (db *DB) Explain(sqlText string) (string, error) {
 	stmts, err := ParseScript(sqlText)
 	if err != nil {
@@ -1486,27 +1540,18 @@ func (db *DB) Explain(sqlText string) (string, error) {
 			return "", err
 		}
 		b.WriteString("UPDATE " + p.t.Name + "\n")
-		// Mirror runUpdate's runtime choice exactly (useSemiJoin reads
-		// the same table sizes), so the reported access path is the one
-		// that would execute right now.
-		switch {
-		case p.useSemiJoin(ep):
-			b.WriteString("  semi-join row selection:\n")
-			for _, line := range p.semi.describePlan(ep) {
-				b.WriteString("    " + line + "\n")
-			}
-		case p.filterSel != nil && !DisablePlanner:
-			b.WriteString("  planned row selection:\n")
-			for _, line := range p.filterSel.describePlan(ep) {
-				b.WriteString("    " + line + "\n")
-			}
-		case p.where == nil:
-			b.WriteString("  full table update (no filter)\n")
-		default:
-			b.WriteString("  full scan with row filter\n")
+		for _, line := range p.describe(ep, "update") {
+			b.WriteString("  " + line + "\n")
 		}
 	case *Delete:
-		b.WriteString("DELETE: full scan with row filter\n")
+		p, err := db.compileDelete(s, ep)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString("DELETE " + p.t.Name + "\n")
+		for _, line := range p.describe(ep, "delete") {
+			b.WriteString("  " + line + "\n")
+		}
 	case *Insert:
 		if s.Query != nil {
 			c := &compiler{db: db, ep: ep}

@@ -277,3 +277,40 @@ func TestPreparedNumParams(t *testing.T) {
 		t.Fatalf("NumParams = %d, want 1", got)
 	}
 }
+
+// TestIndexChainLeadsJoinOrder: in a join of three or more sources, a
+// source that reaches a larger table through an index on its equality
+// drives, with the indexed table probed right below it — even when an
+// unrelated source is smaller — and the result matches the nested
+// loop.
+func TestIndexChainLeadsJoinOrder(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE big (rid INTEGER, v INTEGER)`)
+	mustExec(t, db, `CREATE TABLE keys (rid INTEGER)`)
+	mustExec(t, db, `CREATE TABLE pat (p INTEGER)`)
+	mustExec(t, db, `CREATE INDEX idx_big_rid ON big (rid)`)
+	for i := 0; i < 300; i++ {
+		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, relation.Int(int64(i)), relation.Int(int64(i%5)))
+	}
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, `INSERT INTO keys VALUES (?)`, relation.Int(int64(i*7)))
+	}
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, `INSERT INTO pat VALUES (?)`, relation.Int(int64(i)))
+	}
+	q := `SELECT k.rid, c.p FROM pat c, keys k, big t WHERE t.rid = k.rid AND t.v = c.p`
+	plan, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(plan), "\n")
+	if len(lines) < 4 || !strings.HasPrefix(strings.TrimSpace(lines[1]), "scan k ") ||
+		!strings.HasPrefix(strings.TrimSpace(lines[2]), "index probe t via idx_big_rid") ||
+		!strings.Contains(lines[3], " c ") {
+		t.Fatalf("the index chain does not lead the join:\n%s", plan)
+	}
+	planned, nested := runBothPaths(t, db, q)
+	if planned != nested {
+		t.Fatalf("planned %q vs nested %q", planned, nested)
+	}
+}

@@ -31,10 +31,6 @@ type probeScratch struct {
 	invVals  []relation.Value
 }
 
-// DisableInvariantKeys turns the loop-invariant probe-key cache off,
-// re-evaluating every key expression per probe (for A/B benchmarking).
-var DisableInvariantKeys = false
-
 // probeKey is the compiled key side of a decorrelated probe: one part
 // per key column, analysed for loop-invariance against the *pattern
 // site* — the single outer FROM source (typically the paper's tiny enc
@@ -218,10 +214,6 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 // observe), so results are always cacheable.
 func subqueryMutable(*Select) bool { return false }
 
-// DisableIndexProbes turns persistent-index probing off, falling back
-// to per-statement hash builds (for A/B benchmarking).
-var DisableIndexProbes = false
-
 // DisableDecorrelation turns the EXISTS hash-probe optimization off.
 // It exists only so the ablation benchmark (DESIGN.md §5) can measure
 // what the optimization buys; production code must leave it false.
@@ -391,7 +383,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 	// columns replaces the per-statement hash build: the index persists
 	// across statements and only rebuilds after table mutations. The
 	// probe key must follow the index's column order.
-	if len(filters) == 0 && !DisableIndexProbes {
+	if len(filters) == 0 {
 		d.idx, d.perm = probeIndex(c.ep.tds[t], d.keyCols)
 	}
 	return d, nil
@@ -580,7 +572,7 @@ func (c *compiler) buildProbeKey(x *Exists, outer []Expr, innerDepth int) (*prob
 		}
 		pk.parts[i] = probePart{full: full}
 	}
-	if DisableInvariantKeys || len(outer) > 64 {
+	if len(outer) > 64 {
 		return pk, nil
 	}
 	sc := &siteClassifier{c: c, innerDepth: innerDepth}
