@@ -56,7 +56,6 @@ benchmeasure:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig5a$$' -benchtime $(BENCH_TIME) . | tee -a bench_current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentDetect$$' -benchtime $(BENCH_TIME) . | tee -a bench_current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMixedRead$$' -benchtime $(BENCH_TIME) . | tee -a bench_current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedDetect10k$$' -benchtime $(BENCH_TIME) . | tee -a bench_current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServerCheck$$' -benchtime $(BENCH_TIME) . | tee -a bench_current.txt
 
 # Bench smoke: run every benchmark exactly once (no measurement) so

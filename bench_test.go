@@ -139,42 +139,9 @@ func BenchmarkConcurrentDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedDetect10k measures the sharded scatter-gather
-// BatchDetect on the Fig. 5(a) workload (10k rows, 5 % noise, base Σ)
-// at 4 shards — the benchguard-tracked sharded unit, directly
-// comparable to BenchmarkBatchDetect10k. Deterministic: fixed seed,
-// fixed shard and worker counts.
-func BenchmarkShardedDetect10k(b *testing.B) {
-	name := fmt.Sprintf("bench_shard10k_%d", rand.Int63())
-	db, err := OpenMemory(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	defer CloseMemory(name)
-	s, err := NewShardedDetector(db, gen.Schema(), gen.Constraints(), ShardOptions{Shards: 4, Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Install(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.LoadData(gen.Dataset(gen.Config{Rows: 10_000, Noise: 5, Seed: 1})); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.BatchDetect(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLargeScaleDetect is the ≥1M-row single-store vs sharded
-// comparison — the first step toward the ROADMAP's 10M-row target.
-// Generating and double-loading a million rows takes minutes of setup,
-// so it only runs when ECFD_SLOWBENCH is set:
+// BenchmarkLargeScaleDetect is serial BatchDetect over one million
+// rows. Generating and loading them takes minutes of setup, so it only
+// runs when ECFD_SLOWBENCH is set:
 //
 //	ECFD_SLOWBENCH=1 go test -bench LargeScaleDetect -benchtime 1x .
 func BenchmarkLargeScaleDetect(b *testing.B) {
@@ -204,32 +171,6 @@ func BenchmarkLargeScaleDetect(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := d.BatchDetect(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		name := fmt.Sprintf("bench_large_sh_%d", rand.Int63())
-		db, err := OpenMemory(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		defer CloseMemory(name)
-		s, err := NewShardedDetector(db, gen.Schema(), gen.Constraints(), ShardOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		if err := s.Install(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.LoadData(data); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.BatchDetect(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,7 +33,6 @@ var tracked = []string{
 	"BenchmarkConcurrentDetect/workers=2",
 	"BenchmarkConcurrentDetect/workers=4",
 	"BenchmarkConcurrentDetect/workers=8",
-	"BenchmarkShardedDetect10k",
 	"BenchmarkMixedRead",
 	"BenchmarkServerCheck",
 }
@@ -42,11 +41,15 @@ var tracked = []string{
 type Baseline struct {
 	// Host is the benchmark host's CPU line, informational only — the
 	// tolerance, not the host, decides pass/fail.
-	Host    string             `json:"host"`
+	Host string `json:"host"`
+	// Procs is the GOMAXPROCS the benchmarks ran with: the -N suffix of
+	// their names, or 1 when `go test` printed none. Informational like
+	// Host; 0 in baselines recorded before the field existed.
+	Procs   int                `json:"procs,omitempty"`
 	MsPerOp map[string]float64 `json:"ms_per_op"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op`)
 
 func parse(r *bufio.Scanner) (*Baseline, error) {
 	b := &Baseline{MsPerOp: map[string]float64{}}
@@ -60,11 +63,17 @@ func parse(r *bufio.Scanner) (*Baseline, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchguard: bad ns/op in %q: %w", line, err)
 		}
 		b.MsPerOp[m[1]] = ns / 1e6
+		b.Procs = 1
+		if m[2] != "" {
+			if b.Procs, err = strconv.Atoi(m[2]); err != nil {
+				return nil, fmt.Errorf("benchguard: bad GOMAXPROCS suffix in %q: %w", line, err)
+			}
+		}
 	}
 	return b, r.Err()
 }
@@ -98,7 +107,7 @@ func main() {
 	}
 
 	if *write != "" {
-		keep := &Baseline{Host: got.Host, MsPerOp: map[string]float64{}}
+		keep := &Baseline{Host: got.Host, Procs: got.Procs, MsPerOp: map[string]float64{}}
 		for _, name := range tracked {
 			keep.MsPerOp[name] = got.MsPerOp[name]
 		}
@@ -111,7 +120,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchguard: wrote %s (%d benchmarks, host %q)\n", *write, len(keep.MsPerOp), keep.Host)
+		fmt.Printf("benchguard: wrote %s (%d benchmarks, host %q, procs %d)\n", *write, len(keep.MsPerOp), keep.Host, keep.Procs)
 		return
 	}
 
@@ -125,6 +134,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *check, err)
 		os.Exit(1)
 	}
+	baseProcs := "unrecorded"
+	if base.Procs > 0 {
+		baseProcs = strconv.Itoa(base.Procs)
+	}
+	fmt.Printf("benchguard: procs %s in baseline, %d in this run\n", baseProcs, got.Procs)
 	names := make([]string, 0, len(base.MsPerOp))
 	for name := range base.MsPerOp {
 		names = append(names, name)

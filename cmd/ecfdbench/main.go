@@ -6,16 +6,14 @@
 //
 // Usage:
 //
-//	ecfdbench [-fig 5a|5b|5c|6a|6b|6c|7a|7b|par|shard|wal|mixed|all] [-scale 0.1]
+//	ecfdbench [-fig 5a|5b|5c|6a|6b|6c|7a|7b|par|wal|mixed|server|all] [-scale 0.1]
 //	          [-seed 42] [-parallel N] [-json] [-explain]
 //
 // Scale 1.0 is paper scale (|D| up to 100k tuples); the default 0.1
 // completes the full suite in minutes. -parallel N runs every measured
 // batch detection through the concurrent detector with N workers
 // (-1 = GOMAXPROCS); figure "par" sweeps the worker count on the
-// Fig. 5(a) workload; "shard" sweeps the shard count K of the
-// partitioned scatter-gather detector on the same workload against a
-// single-store BatchDetect baseline; "wal" measures durable ingest under each fsync
+// Fig. 5(a) workload; "wal" measures durable ingest under each fsync
 // policy plus concurrent-writer group commit; "mixed" measures reader
 // point-query latency (p50/p99) with and without a streaming writer,
 // exercising the MVCC epoch snapshots. -explain skips the sweeps and
@@ -37,7 +35,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (5a 5b 5c 6a 6b 6c 7a 7b par shard wal mixed server) or 'all'")
+	fig := flag.String("fig", "all", "figure id (5a 5b 5c 6a 6b 6c 7a 7b par wal mixed server) or 'all'")
 	scale := flag.Float64("scale", 0.1, "dataset scale relative to the paper (1.0 = |D| up to 100k)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	parallel := flag.Int("parallel", 0, "batch-detection workers (0 = serial, -1 = GOMAXPROCS)")

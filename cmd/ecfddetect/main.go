@@ -4,7 +4,6 @@
 //
 //	ecfddetect -spec sigma.ecfd -data data.csv                # batch
 //	ecfddetect -spec sigma.ecfd -data data.csv -parallel 8    # fan out
-//	ecfddetect -spec sigma.ecfd -data data.csv -shards 4      # shard-per-core
 //	ecfddetect -spec sigma.ecfd -data data.csv -insert dplus.csv
 //	ecfddetect -spec sigma.ecfd -data data.csv -delete 5,9,23
 //
@@ -34,7 +33,6 @@ func main() {
 	out := flag.String("o", "-", "violation output CSV ('-' = stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the violation listing, print summary only")
 	parallel := flag.Int("parallel", 0, "batch detection workers (0 = serial, -1 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "partition data across N shard stores (volatile only; excludes -parallel/-wal/-resume)")
 	walDir := flag.String("wal", "", "write-ahead-log directory: persist the session and recover it on restart")
 	fsync := flag.String("fsync", "", "WAL fsync policy: always (default), batched, off")
 	checkpoint := flag.Int64("checkpoint", 4<<20, "WAL bytes between checkpoint snapshots (0 = never; needs -wal)")
@@ -46,10 +44,6 @@ func main() {
 	}
 	if *resume && *walDir == "" {
 		fmt.Fprintln(os.Stderr, "ecfddetect: -resume needs -wal")
-		os.Exit(2)
-	}
-	if *shards > 0 && (*parallel != 0 || *walDir != "" || *resume) {
-		fmt.Fprintln(os.Stderr, "ecfddetect: -shards runs volatile scatter-gather and excludes -parallel, -wal and -resume")
 		os.Exit(2)
 	}
 
@@ -101,72 +95,50 @@ func main() {
 	}
 	defer db.Close()
 
-	// run abstracts over the single-store and sharded detectors; the
-	// flows below only need the shared detection/maintenance surface.
-	var run runner
-	if *shards > 0 {
-		s, err := ecfd.NewShardedDetector(db, schema, spec.Constraints, ecfd.ShardOptions{Shards: *shards})
-		if err != nil {
+	d, err := ecfd.NewDetector(db, schema, spec.Constraints)
+	if err != nil {
+		fail(err)
+	}
+	if *walDir != "" {
+		// Each update batch becomes one WAL commit unit: a crash
+		// recovers to a batch boundary, never a half-applied update.
+		d.SetAtomicUpdates(true)
+	}
+	if *resume {
+		if err := d.Resume(); err != nil {
 			fail(err)
 		}
-		defer s.Close()
-		if err := s.Install(); err != nil {
-			fail(err)
-		}
-		if _, err := s.LoadData(inst); err != nil {
-			fail(err)
-		}
-		run = s
-	} else {
-		d, err := ecfd.NewDetector(db, schema, spec.Constraints)
-		if err != nil {
-			fail(err)
-		}
-		if *walDir != "" {
-			// Each update batch becomes one WAL commit unit: a crash
-			// recovers to a batch boundary, never a half-applied update.
-			d.SetAtomicUpdates(true)
-		}
-		if *resume {
-			if err := d.Resume(); err != nil {
-				fail(err)
-			}
-			st := ecfd.StatsOf(dsn)
-			r := st.Recovery
-			fmt.Fprintf(os.Stderr,
-				"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",
-				r.Gen, r.SnapshotGen, r.UnitsReplayed, r.TornTail, r.FellBack,
-				st.EpochSeq, st.LiveEpochs, st.RetiredEpochs, st.RetiredBytes)
-			if inst != nil {
-				if _, err := d.LoadData(inst); err != nil {
-					fail(err)
-				}
-			}
-		} else {
-			if err := d.Install(); err != nil {
-				fail(err)
-			}
+		st := ecfd.StatsOf(dsn)
+		r := st.Recovery
+		fmt.Fprintf(os.Stderr,
+			"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",
+			r.Gen, r.SnapshotGen, r.UnitsReplayed, r.TornTail, r.FellBack,
+			st.EpochSeq, st.LiveEpochs, st.RetiredEpochs, st.RetiredBytes)
+		if inst != nil {
 			if _, err := d.LoadData(inst); err != nil {
 				fail(err)
 			}
 		}
-		if *parallel != 0 {
-			run = parallelRunner{d, *parallel}
-		} else {
-			run = d
+	} else {
+		if err := d.Install(); err != nil {
+			fail(err)
 		}
+		if _, err := d.LoadData(inst); err != nil {
+			fail(err)
+		}
+	}
+	// run is the detector, with BatchDetect routed through
+	// ParallelDetect under -parallel.
+	var run runner = d
+	mode := "batch"
+	if *parallel != 0 {
+		run = parallelRunner{d, *parallel}
+		mode = "parallel batch"
 	}
 
 	nRows := 0
 	if inst != nil {
 		nRows = inst.Len()
-	}
-	mode := "batch"
-	switch {
-	case *parallel != 0:
-		mode = "parallel batch"
-	case *shards > 0:
-		mode = fmt.Sprintf("sharded batch (%d shards)", *shards)
 	}
 	st, err := run.BatchDetect()
 	if err != nil {
@@ -236,8 +208,8 @@ func main() {
 	}
 }
 
-// runner is the detection/maintenance surface shared by *ecfd.Detector
-// and *ecfd.ShardedDetector.
+// runner is the detection/maintenance surface the flows above use:
+// *ecfd.Detector itself or its parallelRunner form.
 type runner interface {
 	BatchDetect() (ecfd.BatchStats, error)
 	InsertTuples(batch *ecfd.Relation) ([]int64, ecfd.IncStats, error)

@@ -110,7 +110,7 @@ var Runners = map[string]func(Options) (*Figure, error){
 	"5a": Fig5a, "5b": Fig5b, "5c": Fig5c,
 	"6a": Fig6a, "6b": Fig6b, "6c": Fig6c,
 	"7a": Fig7a, "7b": Fig7b,
-	"par": FigPar, "shard": FigShard, "wal": FigWAL, "mixed": FigMixed,
+	"par": FigPar, "wal": FigWAL, "mixed": FigMixed,
 	"server": FigServer,
 }
 
@@ -142,7 +142,7 @@ func setup(sigma []*core.ECFD, cfg gen.Config) (*detect.Detector, []int64, func(
 }
 
 // setupWith is setup over a pre-generated dataset — figures that build
-// several stores from the same data (FigPar, FigShard) generate once
+// several stores from the same data (FigPar) generate once
 // and share, so the measured loop is detection, not the generator.
 func setupWith(sigma []*core.ECFD, data *relation.Relation) (*detect.Detector, []int64, func(), error) {
 	dsn := fmt.Sprintf("bench_%d", dsnSeq.Add(1))
@@ -172,41 +172,6 @@ func setupWith(sigma []*core.ECFD, data *relation.Relation) (*detect.Detector, [
 	// phase across its workers.
 	d.BindEngine(sqldriver.Engine(dsn))
 	return d, rids, cleanup, nil
-}
-
-// setupSharded builds a sharded detector over a fresh coordinator
-// database with the generated dataset scattered across k shards.
-func setupSharded(sigma []*core.ECFD, cfg gen.Config, opts detect.ShardOptions) (*detect.ShardedDetector, func(), error) {
-	return setupShardedWith(sigma, gen.Dataset(cfg), opts)
-}
-
-// setupShardedWith is setupSharded over a pre-generated dataset.
-func setupShardedWith(sigma []*core.ECFD, data *relation.Relation, opts detect.ShardOptions) (*detect.ShardedDetector, func(), error) {
-	dsn := fmt.Sprintf("bench_shard_%d", dsnSeq.Add(1))
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := detect.NewSharded(db, gen.Schema(), sigma, opts)
-	if err != nil {
-		db.Close()
-		sqldriver.Unregister(dsn)
-		return nil, nil, err
-	}
-	cleanup := func() {
-		s.Close()
-		db.Close()
-		sqldriver.Unregister(dsn)
-	}
-	if err := s.Install(); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	if _, err := s.LoadData(data); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return s, cleanup, nil
 }
 
 // Fig5a — BatchDetect scalability in |D| (10k–100k, noise 5 %, base Σ).
@@ -576,52 +541,6 @@ func FigPar(opt Options) (*Figure, error) {
 		}
 		f.Points = append(f.Points, Point{X: fmt.Sprint(w), Series: map[string]float64{
 			"parallel": secs, "batch": bst.Elapsed.Seconds(), "speedup": oneWorker / secs}})
-	}
-	return f, nil
-}
-
-// FigShard — shard-per-core detection scaling on the Fig. 5(a)
-// workload: the sharded scatter-gather BatchDetect at K ∈ {1, 2, 4, 8}
-// partitions against the single-store serial BatchDetect baseline.
-// "speedup" is throughput relative to that serial baseline — unlike
-// FigPar's workers, each shard is a fully private store (own epochs,
-// indexes, column caches), so this is the figure that shows whether
-// horizontal partitioning beats in-store read concurrency. On a
-// single-core host it stays near 1.0 (flat-or-better); the multi-core
-// CI job tracks the ≥1.7× acceptance at K=4.
-func FigShard(opt Options) (*Figure, error) {
-	f := &Figure{ID: "shard", Title: "Sharded detection scaling (Fig. 5(a) workload)",
-		XLabel: "shards", YLabel: "seconds", Names: []string{"sharded", "batch", "speedup"}}
-	rows := opt.scale(100_000)
-	// One dataset for the serial baseline and every K — regenerating per
-	// point both wasted the bulk of the figure's wall clock and let the
-	// generator drift into the measurement.
-	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: opt.Seed})
-
-	d, _, cleanup, err := setupWith(gen.Constraints(), data)
-	if err != nil {
-		return nil, err
-	}
-	bst, err := d.BatchDetect()
-	cleanup()
-	if err != nil {
-		return nil, err
-	}
-	batchSecs := bst.Elapsed.Seconds()
-
-	for _, k := range []int{1, 2, 4, 8} {
-		s, cleanup, err := setupShardedWith(gen.Constraints(), data, detect.ShardOptions{Shards: k})
-		if err != nil {
-			return nil, err
-		}
-		st, err := s.BatchDetect()
-		cleanup()
-		if err != nil {
-			return nil, err
-		}
-		secs := st.Elapsed.Seconds()
-		f.Points = append(f.Points, Point{X: fmt.Sprint(k), Series: map[string]float64{
-			"sharded": secs, "batch": batchSecs, "speedup": batchSecs / secs}})
 	}
 	return f, nil
 }

@@ -17,7 +17,7 @@ func TestRunUnknownFigure(t *testing.T) {
 
 func TestFigureIDs(t *testing.T) {
 	ids := FigureIDs()
-	want := []string{"5a", "5b", "5c", "6a", "6b", "6c", "7a", "7b", "mixed", "par", "server", "shard", "wal"}
+	want := []string{"5a", "5b", "5c", "6a", "6b", "6c", "7a", "7b", "mixed", "par", "server", "wal"}
 	if strings.Join(ids, ",") != strings.Join(want, ",") {
 		t.Errorf("FigureIDs = %v", ids)
 	}
@@ -40,23 +40,6 @@ func TestFigParShape(t *testing.T) {
 	}
 	if s := f.Points[0].Series["speedup"]; s != 1.0 {
 		t.Errorf("one-worker speedup = %v, want 1.0", s)
-	}
-}
-
-// TestFigShardShape checks the shard-scaling figure: four shard
-// counts, positive times, speedups relative to one serial baseline.
-func TestFigShardShape(t *testing.T) {
-	f, err := Run("shard", tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Points) != 4 {
-		t.Fatalf("Fig shard has %d points, want 4", len(f.Points))
-	}
-	for _, p := range f.Points {
-		if p.Series["sharded"] <= 0 || p.Series["batch"] <= 0 || p.Series["speedup"] <= 0 {
-			t.Errorf("point %s: non-positive series", p.X)
-		}
 	}
 }
 

@@ -103,17 +103,6 @@ type statements struct {
 	// staging table alone — read cost, no merge.
 	checkSVRIDs string
 	checkMVRIDs string
-	// sharded scatter-gather forms (ShardedDetector): the shards export
-	// DISTINCT macro rows and touched keys; the coordinator finishes the
-	// grouping in Go and broadcasts the results back.
-	qmvMacroCIDRng string // DISTINCT macro rows of a CID range (params: lo, hi)
-	qmvMacroKeys   string // DISTINCT macro rows restricted to the touched keys
-	keysSelect     string // read the collected touched group keys back out
-	auxSelect      string // read Aux back out (the coordinator's copy is authoritative)
-	shardBatchPre  string // per-shard batch phase: reset flags, Qsv, clear Aux
-	shardIncPre    string // per-shard incremental phase 1: SV on ΔD⁺, touched keys
-	shardIncMid    string // per-shard incremental phase 2: Aux trim, apply ΔD
-	shardIncPost   string // per-shard incremental phase 3: MV maintenance (?1, ?2)
 	// pipelined scripts: the fixed statement sequences of BatchDetect
 	// and ApplyUpdates joined into one semicolon-separated text, so the
 	// whole sequence goes through database/sql as a single prepared
@@ -484,13 +473,6 @@ func (d *Detector) Violations() (*relation.Relation, error) {
 
 // ViolationsVia is Violations reading through q.
 func (d *Detector) ViolationsVia(q Queryer) (*relation.Relation, error) {
-	return d.violationsVia(q, "", nil)
-}
-
-// violationsVia reads the violation set through q, optionally
-// restricted by extraWhere (with its positional args) — the sharded
-// detector's pruned range reads bind a RID range here.
-func (d *Detector) violationsVia(q Queryer, extraWhere string, args []any) (*relation.Relation, error) {
 	cols := []string{ColRID}
 	attrs := []relation.Attribute{{Name: ColRID, Kind: relation.KindInt}}
 	for _, a := range d.schema.Attrs {
@@ -505,13 +487,9 @@ func (d *Detector) violationsVia(q Queryer, extraWhere string, args []any) (*rel
 	if err != nil {
 		return nil, err
 	}
-	where := fmt.Sprintf("(%s = 1 OR %s = 1)", ColSV, ColMV)
-	if extraWhere != "" {
-		where += " AND " + extraWhere
-	}
-	query := fmt.Sprintf("SELECT %s FROM %s WHERE %s ORDER BY %s",
-		strings.Join(cols, ", "), d.dataTable, where, ColRID)
-	rows, err := q.Query(query, args...)
+	query := fmt.Sprintf("SELECT %s FROM %s WHERE (%s = 1 OR %s = 1) ORDER BY %s",
+		strings.Join(cols, ", "), d.dataTable, ColSV, ColMV, ColRID)
+	rows, err := q.Query(query)
 	if err != nil {
 		return nil, err
 	}

@@ -30,10 +30,9 @@ import (
 //     upcoming I/O point, and when it fires the "process" restarts —
 //     reopen, Resume, redo the update if its commit unit did not make
 //     it to the log — and must still land byte-identical;
-//   - the sharded legs run the scatter-gather detector at K ∈
-//     {1, 2, 4, 8} partitions, maintained through the sharded
-//     ApplyUpdates — partition count and scatter scheduling must never
-//     leak into the violation bytes.
+//   - a read-only transaction pinned on d_inc before each update must
+//     render the pre-update violation set while ApplyUpdates commits
+//     concurrently — MVCC snapshot stability.
 //
 // All legs assign identical RID sequences (same insert batches in the
 // same order), so Violations() must render to the same bytes — not
@@ -81,26 +80,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			}
 			if _, err := dDur.BatchDetect(); err != nil {
 				t.Fatal(err)
-			}
-
-			// Sharded legs: one detector per partition count.
-			shardKs := []int{1, 2, 4, 8}
-			sharded := make([]*ShardedDetector, len(shardKs))
-			for i, k := range shardKs {
-				s, err := NewSharded(openDB(t), inst.Schema, sigma, ShardOptions{Shards: k, Workers: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded[i] = s
-				if err := s.Install(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.LoadData(inst); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.BatchDetect(); err != nil {
-					t.Fatal(err)
-				}
 			}
 
 			for step := 0; step < 4; step++ {
@@ -169,11 +148,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				if _, err := dPar.ParallelDetect(8); err != nil {
 					t.Fatalf("trial %d step %d parallel: %v", trial, step, err)
 				}
-				for i, s := range sharded {
-					if _, _, err := s.ApplyUpdates(batch, doomed); err != nil {
-						t.Fatalf("trial %d step %d sharded K=%d: %v", trial, step, shardKs[i], err)
-					}
-				}
 
 				// Durable leg: crash at a random point inside (or just
 				// after) the update's I/O, then recover and reconcile.
@@ -230,15 +204,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: incremental vs durable violation sets differ\nsigma: %s\ninc:\n%s\ndur:\n%s",
 						trial, step, sigmaString(sigma), vInc, vDur)
 				}
-				for i, s := range sharded {
-					if vSh := shardedViolationCSV(t, s); !bytes.Equal(vBatch, vSh) {
-						t.Fatalf("trial %d step %d: batch vs sharded K=%d violation sets differ\nsigma: %s\nbatch:\n%s\nsharded:\n%s",
-							trial, step, shardKs[i], sigmaString(sigma), vBatch, vSh)
-					}
-				}
-			}
-			for _, s := range sharded {
-				s.Close()
 			}
 			dbDur.Close()
 			sqldriver.Unregister(dsn)

@@ -30,10 +30,10 @@ import (
 // ΔD deletes RIDs 2 and 8 and inserts (a2, r, c10) into the
 // already-violating group a2. Afterwards MV must be cleared on 7, kept
 // on 1 (its a1 group left Aux but c1 still violates), kept on 3 and 4,
-// set on the new RID 9 — on the batch, parallel, incremental, durable
-// (before and after a restart) and sharded (K ∈ {1, 2, 4, 8}) paths,
-// each checked against the oracle row by row and rendering
-// Violations() byte-identical to the batch path.
+// set on the new RID 9 — on the batch, parallel, incremental and
+// durable (before and after a restart) paths, each checked against the
+// oracle row by row and rendering Violations() byte-identical to the
+// batch path.
 func TestMVClearedOrKeptAcrossPaths(t *testing.T) {
 	s := relation.MustSchema("mvk",
 		relation.Attribute{Name: "A", Kind: relation.KindText},
@@ -185,31 +185,6 @@ func TestMVClearedOrKeptAcrossPaths(t *testing.T) {
 		t.Errorf("durable after restart vs batch:\n%s\nwant:\n%s", got, want)
 	}
 
-	// Sharded: the scatter-gather ApplyUpdates at every partition count.
-	for _, k := range []int{1, 2, 4, 8} {
-		sh, err := NewSharded(openDB(t), s, sigma, ShardOptions{Shards: k, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sh.Install(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.LoadData(inst); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.BatchDetect(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sh.ApplyUpdates(ins, doomed); err != nil {
-			t.Fatalf("sharded K=%d: %v", k, err)
-		}
-		flags, err := sh.FlagsByRID()
-		checkFlags(fmt.Sprintf("sharded K=%d", k), flags, err)
-		if got := shardedViolationCSV(t, sh); !bytes.Equal(got, want) {
-			t.Errorf("sharded K=%d vs batch:\n%s\nwant:\n%s", k, got, want)
-		}
-		sh.Close()
-	}
 }
 
 // TestIncrementalStatementsDeltaDriven is the EXPLAIN acceptance for

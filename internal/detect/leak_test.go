@@ -1,16 +1,13 @@
 package detect
 
 import (
-	"database/sql"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ecfd/internal/gen"
 	"ecfd/internal/sqldb"
-	"ecfd/internal/sqldriver"
 )
 
 // TestRunTasksSkipsAfterFailure: once a task fails, queued tasks are
@@ -137,56 +134,4 @@ func TestParallelDetectSnapshotBalanceOnFailure(t *testing.T) {
 	poison("phase2-mv", func(s *statements) {
 		s.mvRIDsSlice = "SELECT RID FROM no_such_table WHERE RID >= ? AND RID <= ?"
 	})
-}
-
-// TestShardedDetectSnapshotBalanceOnFailure poisons one shard's
-// scatter statement mid-BatchDetect and asserts every engine in the
-// ensemble — the coordinator and all K shards — returns to one live
-// epoch after the failure.
-func TestShardedDetectSnapshotBalanceOnFailure(t *testing.T) {
-	dsn := fmt.Sprintf("detect_leak_coord_%d", dsnSeq.Add(1))
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		db.Close()
-		sqldriver.Unregister(dsn)
-	}()
-	s, err := NewSharded(db, gen.Schema(), gen.Constraints(), ShardOptions{Shards: 4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Install(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadData(gen.Dataset(gen.Config{Rows: 3_000, Noise: 5, Seed: 5})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.BatchDetect(); err != nil {
-		t.Fatal(err)
-	}
-
-	bad := s.shards[1].d
-	bad.stmts.qmvMacroCIDRng = "SELECT CID FROM no_such_table WHERE CID >= ? AND CID <= ?"
-	_, err = s.BatchDetect()
-	bad.generateSQL()
-	if err == nil {
-		t.Fatal("poisoned shard did not fail the scatter")
-	}
-
-	coordEng := sqldriver.Engine(dsn)
-	turnEpoch(t, s.coord, coordEng)
-	assertNoPins(t, "coordinator", coordEng)
-	for i, sh := range s.shards {
-		eng := sqldriver.Engine(sh.dsn)
-		turnEpoch(t, sh.d, eng)
-		assertNoPins(t, fmt.Sprintf("shard %d", i), eng)
-	}
-
-	// The ensemble stays usable after the failed scatter.
-	if _, err := s.BatchDetect(); err != nil {
-		t.Fatal(err)
-	}
 }

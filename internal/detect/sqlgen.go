@@ -35,10 +35,6 @@ func (d *Detector) generateSQL() {
 		checkSVRIDs:     d.genCheckSVRIDs(),
 		checkMVRIDs:     d.genCheckMVRIDs(),
 		mvRIDsSlice:     d.genMVRIDsSlice(),
-		qmvMacroCIDRng:  d.macro(d.dataTable, "c.CID >= ? AND c.CID <= ?"),
-		qmvMacroKeys:    d.macro(d.dataTable, d.touchedGroups()),
-		keysSelect:      d.genPatternSelect(d.keysTable),
-		auxSelect:       d.genPatternSelect(d.auxTable),
 	}
 	// The batch-detection pipeline: the five fixed statements of
 	// BatchDetect as one script, submitted in a single driver round
@@ -72,44 +68,6 @@ func (d *Detector) generateSQL() {
 		d.stmts.mvSetOld,
 		d.stmts.mvClear,
 	}, ";\n")
-	// The sharded pipelines (ShardedDetector): each shard runs the same
-	// fixed statements over its partition, split into per-phase scripts
-	// around the coordinator's gather/merge/broadcast points. The Qmv
-	// grouping cannot run per shard — a group's members span shards — so
-	// the shards export DISTINCT macro rows (qmvMacroCIDRng /
-	// qmvMacroKeys) and the coordinator finishes the aggregation.
-	d.stmts.shardBatchPre = strings.Join([]string{
-		d.stmts.resetFlags,
-		d.stmts.qsvUpdate,
-		"TRUNCATE TABLE " + d.auxTable,
-	}, ";\n")
-	d.stmts.shardIncPre = strings.Join([]string{
-		d.stmts.svOnIns,
-		"TRUNCATE TABLE " + d.keysTable,
-		d.stmts.keysFromDel, // before the doomed rows disappear
-		d.stmts.keysFromIns,
-	}, ";\n")
-	d.stmts.shardIncMid = strings.Join([]string{
-		d.stmts.auxDeleteAff,
-		d.stmts.deleteRows,
-		d.stmts.mergeIns,
-	}, ";\n")
-	d.stmts.shardIncPost = strings.Join([]string{
-		d.stmts.mvSetNew,
-		d.stmts.mvSetOld,
-		d.stmts.mvClear,
-	}, ";\n")
-}
-
-// genPatternSelect reads an Aux-shaped table back out: the CID and the
-// blanked LHS pattern columns. DISTINCT because the keys table is
-// filled by two inserts (ΔD⁻ and ΔD⁺ sources) that can repeat a key.
-func (d *Detector) genPatternSelect(table string) string {
-	cols := []string{"CID"}
-	for _, a := range d.schema.Attrs {
-		cols = append(cols, a.Name+"_P")
-	}
-	return fmt.Sprintf("SELECT DISTINCT %s FROM %s", strings.Join(cols, ", "), table)
 }
 
 // SQL returns the generated batch-detection queries (Qsv select form,

@@ -65,11 +65,17 @@ type errorEnvelope struct {
 // generator workload (internal/gen): the paper's schema and constraint
 // set, with Rows tuples loaded at Noise%% corruption. It exists so load
 // generators and benchmarks need not ship a dataset over the wire.
+// Rows must lie in [0, 100000] (the paper's largest |D|) and Noise in
+// [0, 100]; anything else is a bad_request.
 type GenSpec struct {
 	Rows  int     `json:"rows"`
 	Noise float64 `json:"noise"`
 	Seed  int64   `json:"seed"`
 }
+
+// maxGenRows caps GenSpec.Rows: the generated dataset is built in
+// memory before it is loaded.
+const maxGenRows = 100_000
 
 // CreateSessionRequest opens a detection session. Exactly one of Spec
 // (the textual constraint language, all constraints over one table) or

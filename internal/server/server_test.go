@@ -207,6 +207,10 @@ func TestServerCreateErrors(t *testing.T) {
 		{"both", CreateSessionRequest{Spec: testSpec, Gen: &GenSpec{Rows: 1}}, CodeBadRequest},
 		{"bad spec", CreateSessionRequest{Spec: "table ???"}, CodeBadRequest},
 		{"unknown field", map[string]any{"bogus": 1}, CodeBadRequest},
+		{"negative rows", CreateSessionRequest{Gen: &GenSpec{Rows: -1}}, CodeBadRequest},
+		{"rows above cap", CreateSessionRequest{Gen: &GenSpec{Rows: maxGenRows + 1}}, CodeBadRequest},
+		{"noise above 100", CreateSessionRequest{Gen: &GenSpec{Rows: 10, Noise: 200}}, CodeBadRequest},
+		{"negative noise", CreateSessionRequest{Gen: &GenSpec{Rows: 1000, Noise: -5}}, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		if _, code := c.do("POST", "/v1/sessions", tc.body, nil); code != tc.code {

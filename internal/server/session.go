@@ -136,8 +136,11 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 		}
 		sigma = spec.Constraints
 	case req.Gen != nil:
-		if req.Gen.Rows < 0 {
-			return nil, apiErrorf(CodeBadRequest, "gen.rows must be >= 0")
+		if req.Gen.Rows < 0 || req.Gen.Rows > maxGenRows {
+			return nil, apiErrorf(CodeBadRequest, "gen.rows must be in [0, %d]", maxGenRows)
+		}
+		if req.Gen.Noise < 0 || req.Gen.Noise > 100 {
+			return nil, apiErrorf(CodeBadRequest, "gen.noise must be in [0, 100]")
 		}
 		schema = gen.Schema()
 		sigma = gen.Constraints()
