@@ -128,7 +128,6 @@ func BenchmarkConcurrentDetect(b *testing.B) {
 			if _, err := d.LoadData(gen.Dataset(gen.Config{Rows: 10_000, Noise: 5, Seed: 1})); err != nil {
 				b.Fatal(err)
 			}
-			d.BindEngine(Engine(name))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.ParallelDetect(workers); err != nil {

@@ -168,9 +168,6 @@ func setupWith(sigma []*core.ECFD, data *relation.Relation) (*detect.Detector, [
 		cleanup()
 		return nil, nil, nil, err
 	}
-	// Engine binding lets ParallelDetect share one snapshot pin per read
-	// phase across its workers.
-	d.BindEngine(sqldriver.Engine(dsn))
 	return d, rids, cleanup, nil
 }
 

@@ -19,11 +19,25 @@ type BatchStats struct {
 // sequence is submitted as one pipelined script (a single prepared
 // driver round trip); the engine executes the statements in order.
 func (d *Detector) BatchDetect() (BatchStats, error) {
-	start := time.Now()
-	if _, err := d.db.Exec(d.stmts.batchScript); err != nil {
-		return BatchStats{}, fmt.Errorf("detect: batch: %w", err)
-	}
-	sv, mv, total, err := d.Counts()
+	var st BatchStats
+	err := d.mutating(func() (err error) {
+		start := time.Now()
+		if _, err := d.db.Exec(d.stmts.batchScript); err != nil {
+			return fmt.Errorf("detect: batch: %w", err)
+		}
+		st, err = d.headStats(start)
+		return err
+	})
+	return st, err
+}
+
+// headStats counts the flags a detect run just set. It reads the
+// engine's current epoch: the committed view still shows the state
+// from before the run.
+func (d *Detector) headStats(start time.Time) (BatchStats, error) {
+	s := d.eng.PinSnapshot()
+	defer s.Close()
+	sv, mv, total, err := d.countsAt(s)
 	if err != nil {
 		return BatchStats{}, err
 	}

@@ -14,16 +14,20 @@ type CheckResult struct {
 }
 
 // Check answers "would these tuples violate Σ?" without admitting them:
-// the batch is staged into the _ins table and the two fixed detection
-// queries run over the staging table against the current flags and
-// Aux(D). Nothing is merged — the data table, the violation flags and
-// Aux are untouched — so Check costs two indexed read-only queries and
-// can run at request rate between updates (the server's hot path).
+// the two fixed detection queries run over the candidate tuples
+// against the flags and Aux(D) of the committed view (see View).
+// Check writes nothing — no table, no epoch, no WAL byte: the queries
+// run at a private overlay of that view in which the _ins staging
+// table holds the candidates (sqldb.Snap.Overlay). It takes no lock a
+// writer holds, so it runs at request rate next to updates and never
+// waits for one; a check that overlaps a mutating call answers against
+// the state from before that call.
 //
 // The verdict's contract:
 //
 //   - SV is exact: single-tuple violation is a per-tuple property
-//     (Fig. 4, top), so staging answers it as well as merging would.
+//     (Fig. 4, top), so the candidates alone answer it as well as
+//     merging would.
 //   - MV reports membership in a group that is *currently* violating —
 //     the Aux(D) probe the incremental step runs on merged rows. A
 //     tuple that would newly tip a clean group into violation (it
@@ -32,9 +36,8 @@ type CheckResult struct {
 //     transition requires the Aux recompute in ApplyUpdates.
 //
 // Check requires the flags and Aux to be current (run BatchDetect once
-// after loading). It shares the _ins staging table with ApplyUpdates,
-// so callers serialize Check against mutating calls on the same
-// Detector; the server holds its per-session lock across both.
+// after loading). It is safe to call from any number of goroutines,
+// concurrently with each other and with the mutating calls.
 func (d *Detector) Check(batch *relation.Relation) ([]CheckResult, error) {
 	if batch.Schema.Name != d.schema.Name || batch.Schema.Width() != d.schema.Width() {
 		return nil, fmt.Errorf("detect: batch schema %s does not match %s", batch.Schema, d.schema)
@@ -43,49 +46,33 @@ func (d *Detector) Check(batch *relation.Relation) ([]CheckResult, error) {
 	if batch.Len() == 0 {
 		return out, nil
 	}
-	if _, err := d.db.Exec("TRUNCATE TABLE " + d.insTable); err != nil {
+	// The 1-based batch position stands in for the RID: the check
+	// statements never join the candidates to the data by RID, so
+	// colliding with real RIDs is harmless.
+	rows := make([]relation.Tuple, batch.Len())
+	for i, row := range batch.Rows {
+		t := make(relation.Tuple, 0, len(row)+3)
+		t = append(t, relation.Int(int64(i+1)))
+		t = append(t, row...)
+		rows[i] = append(t, relation.Int(0), relation.Int(0))
+	}
+	view := d.View()
+	defer view.Close()
+	ov, err := view.Overlay(d.insTable, rows)
+	if err != nil {
 		return nil, fmt.Errorf("detect: check: %w", err)
 	}
-	// Stage with the 1-based batch position as the RID: the check
-	// statements never join the staging table to the data by RID, so
-	// colliding with real RIDs is harmless, and a fixed RID sequence
-	// keeps the insert text constant per batch size (plan-cache hit).
-	width := d.schema.Width() + 3 // RID + R + SV + MV
-	for start := 0; start < batch.Len(); start += insertBatch {
-		end := start + insertBatch
-		if end > batch.Len() {
-			end = batch.Len()
-		}
-		chunk := batch.Rows[start:end]
-		args := make([]any, 0, len(chunk)*width)
-		for i, row := range chunk {
-			args = append(args, int64(start+i+1))
-			for _, v := range row {
-				args = append(args, valueArg(v))
-			}
-			args = append(args, 0, 0)
-		}
-		q := fmt.Sprintf("INSERT INTO %s VALUES %s", d.insTable, placeholderRows(len(chunk), width))
-		if _, err := d.db.Exec(q, args...); err != nil {
-			return nil, fmt.Errorf("detect: check: stage batch: %w", err)
-		}
-	}
 	mark := func(q string, set func(r *CheckResult)) error {
-		rows, err := d.db.Query(q)
+		rids, err := d.queryInts(ov, q)
 		if err != nil {
 			return err
 		}
-		defer rows.Close()
-		for rows.Next() {
-			var rid int64
-			if err := rows.Scan(&rid); err != nil {
-				return err
-			}
+		for _, rid := range rids {
 			if rid >= 1 && rid <= int64(len(out)) {
 				set(&out[rid-1])
 			}
 		}
-		return rows.Err()
+		return nil
 	}
 	if err := mark(d.stmts.checkSVRIDs, func(r *CheckResult) { r.SV = true }); err != nil {
 		return nil, fmt.Errorf("detect: check: %w", err)

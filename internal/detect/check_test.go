@@ -13,7 +13,7 @@ import (
 // ground truth of actually applying each candidate:
 //
 //   - SV must match the applied insert's SV flag exactly (SV is a
-//     per-tuple property, so the staged form answers it losslessly);
+//     per-tuple property, so the candidates alone answer it losslessly);
 //   - MV=true must imply the applied insert gets MV=true (soundness —
 //     Check never cries wolf);
 //   - a resubmitted copy of a currently MV-flagged row must come back

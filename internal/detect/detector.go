@@ -15,14 +15,17 @@
 package detect
 
 import (
+	"context"
 	"database/sql"
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 
 	"ecfd/internal/core"
 	"ecfd/internal/relation"
 	"ecfd/internal/sqldb"
+	"ecfd/internal/sqldriver"
 )
 
 // Reserved columns the detector adds to the data table.
@@ -66,11 +69,20 @@ type Detector struct {
 	nextRID int64
 	atomic  bool // wrap LoadData/ApplyUpdates in one transaction
 
-	// eng, when bound, is the embedded engine behind db: ParallelDetect
-	// then pins one MVCC snapshot per read phase and serves every worker
-	// from it (see BindEngine), instead of a read-only transaction per
-	// task.
+	// eng is the embedded engine behind db, found by New. The readers
+	// (Check, Violations, Counts, FlagsByRID, RIDs) and ParallelDetect's
+	// worker phases query pinned MVCC snapshots of it directly.
 	eng *sqldb.DB
+
+	// The committed read view (see View): while a mutating call runs,
+	// held pins the epoch from before it, and readers clone that pin
+	// instead of pinning whatever intermediate epoch the call's script
+	// has published so far. writers counts the mutating calls in
+	// flight; the last one out releases held, so no pin is kept at rest.
+	// viewMu guards both and is never held across SQL.
+	viewMu  sync.Mutex
+	writers int
+	held    *sqldb.Snap
 
 	// pre-generated statements (fixed count, independent of |Σ|)
 	stmts statements
@@ -100,9 +112,15 @@ type statements struct {
 	qmvGroupsCIDRng string
 	mvRIDsSlice     string
 	// advisory-check forms (Check): Qsv and the Aux probe over the
-	// staging table alone — read cost, no merge.
+	// staging table alone, which Check overlays with the candidates.
 	checkSVRIDs string
 	checkMVRIDs string
+	// reads of the committed state (Counts, Violations, FlagsByRID,
+	// RIDs)
+	counts     string
+	violations string
+	flags      string
+	rids       string
 	// pipelined scripts: the fixed statement sequences of BatchDetect
 	// and ApplyUpdates joined into one semicolon-separated text, so the
 	// whole sequence goes through database/sql as a single prepared
@@ -115,7 +133,9 @@ type statements struct {
 // New validates Σ against the schema and prepares a detector. The
 // constraints are split into single-pattern-tuple form (§V: "we can
 // always split an eCFD with multiple patterns"), and each split
-// constraint gets a CID equal to its 1-based position.
+// constraint gets a CID equal to its 1-based position. db must be a
+// handle of the sqldriver driver: New finds the engine behind it, and
+// any other driver is an error.
 func New(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD) (*Detector, error) {
 	if len(sigma) == 0 {
 		return nil, fmt.Errorf("detect: empty constraint set")
@@ -140,8 +160,13 @@ func New(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD) (*Detector, er
 			return nil, err
 		}
 	}
+	eng, err := engineOf(db)
+	if err != nil {
+		return nil, err
+	}
 	d := &Detector{
 		db:          db,
+		eng:         eng,
 		schema:      schema,
 		sigma:       core.Split(sigma),
 		dataTable:   schema.Name + "_data",
@@ -164,15 +189,27 @@ func (d *Detector) Sigma() []*core.ECFD { return d.sigma }
 // DataTable returns the name of the SV/MV-extended data table.
 func (d *Detector) DataTable() string { return d.dataTable }
 
-// BindEngine hands the detector the embedded sqldb engine behind its
-// database/sql handle (sqldriver.Engine of the DSN the handle was
-// opened with). With an engine bound, ParallelDetect pins one MVCC
-// snapshot per read phase and runs every worker's statements directly
-// against it (Prepared.QueryAt) — one pin per pass instead of one
-// read-only transaction per slice task, which BENCH_pr8 showed costing
-// ~20% at 8 workers on one CPU. Purely an optimization: results are
-// identical with or without the binding.
-func (d *Detector) BindEngine(eng *sqldb.DB) { d.eng = eng }
+// engineOf returns the sqldb engine behind a database/sql handle of
+// the sqldriver driver, through the handle's raw driver connection.
+func engineOf(db *sql.DB) (*sqldb.DB, error) {
+	conn, err := db.Conn(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("detect: %w", err)
+	}
+	defer conn.Close()
+	var eng *sqldb.DB
+	err = conn.Raw(func(dc any) error {
+		var ok bool
+		if eng, ok = sqldriver.EngineOf(dc); !ok {
+			return fmt.Errorf("detect: the handle's driver connection is a %T, not a %s connection", dc, sqldriver.DriverName)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
 
 // talName / tarName name the per-attribute pattern-set tables.
 func (d *Detector) talName(attr string) string { return fmt.Sprintf("%s_t_%s_l", d.schema.Name, attr) }
@@ -193,7 +230,9 @@ func sqlKind(k relation.Kind) string {
 
 // Install creates every table the detector needs and loads the
 // encoding of Σ. Existing detector tables are dropped first.
-func (d *Detector) Install() error {
+func (d *Detector) Install() error { return d.mutating(d.install) }
+
+func (d *Detector) install() error {
 	var ddl []string
 	drop := func(name string) { ddl = append(ddl, "DROP TABLE IF EXISTS "+name) }
 	drop(d.dataTable)
@@ -442,54 +481,72 @@ func (d *Detector) bulkInsert(ex execer, table string, inst *relation.Relation) 
 }
 
 // Counts returns (DSV, DMV, |vio(D)|): tuples flagged SV, flagged MV,
-// and flagged either way.
+// and flagged either way, read at the committed view (see View).
 func (d *Detector) Counts() (sv, mv, total int64, err error) {
-	q := fmt.Sprintf(`SELECT SUM(%[1]s), SUM(%[2]s), COUNT(*) FROM %[3]s WHERE %[1]s = 1 OR %[2]s = 1`,
-		ColSV, ColMV, d.dataTable)
-	var svN, mvN sql.NullInt64
-	var tot int64
-	if err := d.db.QueryRow(q).Scan(&svN, &mvN, &tot); err != nil {
-		return 0, 0, 0, err
-	}
-	return svN.Int64, mvN.Int64, tot, nil
+	s := d.View()
+	defer s.Close()
+	return d.countsAt(s)
 }
 
-// Queryer is the minimal read surface the violation readers need;
-// *sql.DB and *sql.Tx both satisfy it. Passing a read-only
-// transaction (sql.TxOptions{ReadOnly: true}) pins one MVCC snapshot
-// for the whole read, so the result is coherent even while
-// LoadData/ApplyUpdates commit concurrently.
+func (d *Detector) countsAt(s *sqldb.Snap) (sv, mv, total int64, err error) {
+	res, err := d.queryAt(s, d.stmts.counts)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	row := res.Rows[0] // an aggregate without GROUP BY yields one row
+	// SUM over no rows is NULL, whose I is 0.
+	return row[0].I, row[1].I, row[2].I, nil
+}
+
+// Queryer is the minimal read surface ViolationsVia needs; *sql.DB and
+// *sql.Tx both satisfy it. Passing a read-only transaction
+// (sql.TxOptions{ReadOnly: true}) pins one MVCC snapshot for the whole
+// read, so the result is coherent even while LoadData/ApplyUpdates
+// commit concurrently — but unlike the committed view (see View), the
+// snapshot it pins may show such a call half applied.
 type Queryer interface {
 	Query(query string, args ...any) (*sql.Rows, error)
 }
 
-// Violations returns the current violation set as (RID, SV, MV) plus
-// the data columns, ordered by RID. It reads the published snapshot;
-// use ViolationsVia with a read-only transaction to pin one snapshot
-// across several reads.
+// Violations returns the violation set as (RID, SV, MV) plus the data
+// columns, ordered by RID, read at the committed view (see View). Use
+// ViolationsVia to read through a database/sql handle instead, such
+// as a read-only transaction pinned by the caller.
 func (d *Detector) Violations() (*relation.Relation, error) {
-	return d.ViolationsVia(d.db)
+	s := d.View()
+	defer s.Close()
+	res, err := d.queryAt(s, d.stmts.violations)
+	if err != nil {
+		return nil, err
+	}
+	schema, err := d.violationSchema()
+	if err != nil {
+		return nil, err
+	}
+	out := relation.New(schema)
+	out.Rows = res.Rows
+	return out, nil
+}
+
+// violationSchema is the schema of Violations' result: the data
+// table's columns, RID first and the two flags last.
+func (d *Detector) violationSchema() (*relation.Schema, error) {
+	attrs := []relation.Attribute{{Name: ColRID, Kind: relation.KindInt}}
+	attrs = append(attrs, d.schema.Attrs...)
+	attrs = append(attrs,
+		relation.Attribute{Name: ColSV, Kind: relation.KindInt},
+		relation.Attribute{Name: ColMV, Kind: relation.KindInt})
+	return relation.NewSchema(d.schema.Name+"_vio", attrs...)
 }
 
 // ViolationsVia is Violations reading through q.
 func (d *Detector) ViolationsVia(q Queryer) (*relation.Relation, error) {
-	cols := []string{ColRID}
-	attrs := []relation.Attribute{{Name: ColRID, Kind: relation.KindInt}}
-	for _, a := range d.schema.Attrs {
-		cols = append(cols, a.Name)
-		attrs = append(attrs, a)
-	}
-	cols = append(cols, ColSV, ColMV)
-	attrs = append(attrs,
-		relation.Attribute{Name: ColSV, Kind: relation.KindInt},
-		relation.Attribute{Name: ColMV, Kind: relation.KindInt})
-	schema, err := relation.NewSchema(d.schema.Name+"_vio", attrs...)
+	schema, err := d.violationSchema()
 	if err != nil {
 		return nil, err
 	}
-	query := fmt.Sprintf("SELECT %s FROM %s WHERE (%s = 1 OR %s = 1) ORDER BY %s",
-		strings.Join(cols, ", "), d.dataTable, ColSV, ColMV, ColRID)
-	rows, err := q.Query(query)
+	attrs := schema.Attrs
+	rows, err := q.Query(d.stmts.violations)
 	if err != nil {
 		return nil, err
 	}
@@ -521,22 +578,19 @@ func (d *Detector) ViolationsVia(q Queryer) (*relation.Relation, error) {
 	return out, rows.Err()
 }
 
-// FlagsByRID returns the SV/MV flags of every row, keyed by RID. Tests
-// use it to compare against the naive oracle.
+// FlagsByRID returns the SV/MV flags of every row, keyed by RID, read
+// at the committed view (see View). Tests use it to compare against
+// the naive oracle.
 func (d *Detector) FlagsByRID() (map[int64][2]bool, error) {
-	q := fmt.Sprintf("SELECT %s, %s, %s FROM %s", ColRID, ColSV, ColMV, d.dataTable)
-	rows, err := d.db.Query(q)
+	s := d.View()
+	defer s.Close()
+	res, err := d.queryAt(s, d.stmts.flags)
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	out := make(map[int64][2]bool)
-	for rows.Next() {
-		var rid, sv, mv int64
-		if err := rows.Scan(&rid, &sv, &mv); err != nil {
-			return nil, err
-		}
-		out[rid] = [2]bool{sv == 1, mv == 1}
+	out := make(map[int64][2]bool, len(res.Rows))
+	for _, row := range res.Rows {
+		out[row[0].I] = [2]bool{row[1].I == 1, row[2].I == 1}
 	}
-	return out, rows.Err()
+	return out, nil
 }

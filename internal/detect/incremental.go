@@ -55,7 +55,13 @@ func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
 	if batch.Schema.Name != d.schema.Name || batch.Schema.Width() != d.schema.Width() {
 		return nil, fmt.Errorf("detect: batch schema %s does not match %s", batch.Schema, d.schema)
 	}
-	return d.bulkInsert(d.db, d.dataTable, batch)
+	var rids []int64
+	err := d.mutating(func() error {
+		var err error
+		rids, err = d.bulkInsert(d.db, d.dataTable, batch)
+		return err
+	})
+	return rids, err
 }
 
 // DeleteRaw removes tuples by RID without maintaining flags or Aux.
@@ -72,8 +78,10 @@ func (d *Detector) DeleteRaw(rids []int64) error {
 		fmt.Fprintf(&b, "%d", rid)
 	}
 	b.WriteString(")")
-	_, err := d.db.Exec(b.String())
-	return err
+	return d.mutating(func() error {
+		_, err := d.db.Exec(b.String())
+		return err
+	})
 }
 
 // ApplyUpdates applies a combined update ΔD = (ΔD⁻, ΔD⁺) — the shape
@@ -153,20 +161,10 @@ func (d *Detector) loadDelRids(ex execer, rids []int64) error {
 	return flush()
 }
 
-// RIDs returns every row id currently in the data table, ordered.
+// RIDs returns every row id in the data table, ordered, read at the
+// committed view (see View).
 func (d *Detector) RIDs() ([]int64, error) {
-	rows, err := d.db.Query(fmt.Sprintf("SELECT %s FROM %s ORDER BY %s", ColRID, d.dataTable, ColRID))
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []int64
-	for rows.Next() {
-		var rid int64
-		if err := rows.Scan(&rid); err != nil {
-			return nil, err
-		}
-		out = append(out, rid)
-	}
-	return out, rows.Err()
+	s := d.View()
+	defer s.Close()
+	return d.queryInts(s, d.stmts.rids)
 }

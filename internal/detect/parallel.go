@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"database/sql"
 	"fmt"
 	"runtime"
 	"sort"
@@ -35,12 +34,20 @@ import (
 // phase at the end — reads scale, writes stay exclusive.
 //
 // Each concurrent read phase runs against one pinned MVCC snapshot:
-// with an engine bound (BindEngine) the phase takes a single epoch pin
-// and every worker queries it directly; without one, each task is a
-// single statement, which observes one snapshot by itself.
+// the phase takes a single epoch pin and every worker queries it
+// directly through the engine's plan cache.
 //
 // workers <= 0 selects GOMAXPROCS.
 func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
+	var st BatchStats
+	err := d.mutating(func() (err error) {
+		st, err = d.parallelDetect(workers)
+		return err
+	})
+	return st, err
+}
+
+func (d *Detector) parallelDetect(workers int) (BatchStats, error) {
 	start := time.Now()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -57,8 +64,12 @@ func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 
 	// One ordered pass over the RID index sizes the partitioning
 	// exactly: slices cut at real RIDs, so sparse RID spaces (heavily
-	// deleted relations) never yield empty slice tasks.
-	rids, err := d.RIDs()
+	// deleted relations) never yield empty slice tasks. Like every read
+	// of this run's own progress, it reads the current epoch, not the
+	// committed view.
+	hs := d.eng.PinSnapshot()
+	rids, err := d.queryInts(hs, d.stmts.rids)
+	hs.Close()
 	if err != nil {
 		return fail(err)
 	}
@@ -126,12 +137,11 @@ func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 	if err := d.setFlag(ColMV, mergeRIDs(mvSets)); err != nil {
 		return fail(err)
 	}
-
-	sv, mv, total, err := d.Counts()
+	st, err := d.headStats(start)
 	if err != nil {
 		return fail(err)
 	}
-	return BatchStats{SV: sv, MV: mv, Total: total, Elapsed: time.Since(start)}, nil
+	return st, nil
 }
 
 // runTasks drains tasks through a fixed pool of workers and returns
@@ -187,65 +197,26 @@ func runTasks(workers int, tasks []func() error) error {
 	return firstErr
 }
 
-// phaseReader is the read surface of one concurrent phase. With an
-// engine bound it pins one MVCC epoch at construction and every task
-// queries that snapshot through the engine's prepared-plan cache — the
-// per-task read-only-transaction pin (and its connection churn) that
-// BENCH_pr8 showed creeping to ~20% at 8 workers is gone. Without an
-// engine it falls back to plain handle queries: each task is a single
-// statement, which pins its own snapshot for exactly its duration.
+// phaseReader is the read surface of one concurrent phase: it pins
+// one MVCC epoch at construction and every task queries that snapshot
+// through the engine's prepared-plan cache — one pin per pass instead
+// of one read-only transaction per slice task, which BENCH_pr8 showed
+// creeping to ~20% at 8 workers.
 type phaseReader struct {
 	d    *Detector
-	snap *sqldb.Snap // non-nil iff an engine is bound
+	snap *sqldb.Snap
 }
 
 func (d *Detector) phaseReader() *phaseReader {
-	r := &phaseReader{d: d}
-	if d.eng != nil {
-		r.snap = d.eng.PinSnapshot()
-	}
-	return r
+	return &phaseReader{d: d, snap: d.eng.PinSnapshot()}
 }
 
-func (r *phaseReader) close() {
-	if r.snap != nil {
-		r.snap.Close()
-		r.snap = nil
-	}
-}
+func (r *phaseReader) close() { r.snap.Close() }
 
 // queryRIDs runs a two-parameter RID-collecting query and returns the
 // ids.
 func (r *phaseReader) queryRIDs(q string, lo, hi int64) ([]int64, error) {
-	if r.snap != nil {
-		p, err := r.d.eng.Prepare(q)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.QueryAt(r.snap, relation.Int(lo), relation.Int(hi))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, len(res.Rows))
-		for i, row := range res.Rows {
-			out[i] = row[0].I
-		}
-		return out, nil
-	}
-	rows, err := r.d.db.Query(q, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []int64
-	for rows.Next() {
-		var rid int64
-		if err := rows.Scan(&rid); err != nil {
-			return nil, err
-		}
-		out = append(out, rid)
-	}
-	return out, rows.Err()
+	return r.d.queryInts(r.snap, q, relation.Int(lo), relation.Int(hi))
 }
 
 // queryGroups computes the violating Qmv group keys of a CID range.
@@ -253,51 +224,20 @@ func (r *phaseReader) queryRIDs(q string, lo, hi int64) ([]int64, error) {
 // pattern columns.
 func (r *phaseReader) queryGroups(q string, loCID, hiCID int64) ([][]any, error) {
 	width := 1 + len(r.d.schema.Attrs)
-	if r.snap != nil {
-		p, err := r.d.eng.Prepare(q)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.QueryAt(r.snap, relation.Int(loCID), relation.Int(hiCID))
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]any, len(res.Rows))
-		for i, t := range res.Rows {
-			row := make([]any, width)
-			row[0] = t[0].I
-			for j := 1; j < width; j++ {
-				row[j] = t[j].S // pattern columns are always TEXT
-			}
-			out[i] = row
-		}
-		return out, nil
-	}
-	rows, err := r.d.db.Query(q, loCID, hiCID)
+	res, err := r.d.queryAt(r.snap, q, relation.Int(loCID), relation.Int(hiCID))
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var cid int64
-	cells := make([]string, width-1)
-	ptrs := make([]any, width)
-	ptrs[0] = &cid
-	for i := range cells {
-		ptrs[i+1] = &cells[i]
-	}
-	var out [][]any
-	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			return nil, err
-		}
+	out := make([][]any, len(res.Rows))
+	for i, t := range res.Rows {
 		row := make([]any, width)
-		row[0] = cid
-		for i, s := range cells {
-			row[i+1] = s
+		row[0] = t[0].I
+		for j := 1; j < width; j++ {
+			row[j] = t[j].S // pattern columns are always TEXT
 		}
-		out = append(out, row)
+		out[i] = row
 	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // minSliceRows keeps partitioning worthwhile: below this many rows per
@@ -329,16 +269,6 @@ func ridSlices(rids []int64, workers int) [][2]int64 {
 		out = append(out, [2]int64{rids[a], rids[b-1]})
 	}
 	return out
-}
-
-// ridBounds reports the data table's RID range and row count.
-func (d *Detector) ridBounds() (lo, hi, n int64, err error) {
-	q := fmt.Sprintf("SELECT MIN(%[1]s), MAX(%[1]s), COUNT(*) FROM %[2]s", ColRID, d.dataTable)
-	var loN, hiN sql.NullInt64
-	if err := d.db.QueryRow(q).Scan(&loN, &hiN, &n); err != nil {
-		return 0, 0, 0, err
-	}
-	return loN.Int64, hiN.Int64, n, nil
 }
 
 // cidRanges splits the CID space [1, n] into up to `workers`

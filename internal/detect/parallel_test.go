@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ecfd/internal/gen"
+	"ecfd/internal/relation"
 	"ecfd/internal/sqldriver"
 )
 
@@ -37,15 +38,18 @@ func newBenchDetector(t testing.TB, rows int, seed int64) (*Detector, func()) {
 		cleanup()
 		t.Fatal(err)
 	}
-	d.BindEngine(sqldriver.Engine(dsn))
 	return d, cleanup
 }
 
-// violationCSV renders the full violation set for byte-level
-// comparison across runs.
+// violationCSV renders the full violation set, read at the committed
+// view, for byte-level comparison across runs.
 func violationCSV(t *testing.T, d *Detector) []byte {
 	t.Helper()
-	return violationCSVVia(t, d, d.db)
+	vio, err := d.Violations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderCSV(t, vio)
 }
 
 // violationCSVVia renders the violation set as seen through q —
@@ -56,6 +60,11 @@ func violationCSVVia(t *testing.T, d *Detector, q Queryer) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return renderCSV(t, vio)
+}
+
+func renderCSV(t *testing.T, vio *relation.Relation) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := vio.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -54,26 +54,29 @@ func (d *Detector) Resume() error {
 	return nil
 }
 
-// runAtomic executes fn against a transaction when atomic updates are
-// on, restoring the RID allocator if anything — including the commit
-// itself — fails; otherwise fn runs directly against the handle.
+// runAtomic executes one mutating call's statements (see mutating):
+// against a transaction when atomic updates are on, restoring the RID
+// allocator if anything — including the commit itself — fails;
+// otherwise directly against the handle.
 func (d *Detector) runAtomic(fn func(ex execer) error) error {
-	if !d.atomic {
-		return fn(d.db)
-	}
-	savedRID := d.nextRID
-	tx, err := d.db.Begin()
-	if err != nil {
-		return err
-	}
-	if err := fn(tx); err != nil {
-		tx.Rollback()
-		d.nextRID = savedRID
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		d.nextRID = savedRID
-		return err
-	}
-	return nil
+	return d.mutating(func() error {
+		if !d.atomic {
+			return fn(d.db)
+		}
+		savedRID := d.nextRID
+		tx, err := d.db.Begin()
+		if err != nil {
+			return err
+		}
+		if err := fn(tx); err != nil {
+			tx.Rollback()
+			d.nextRID = savedRID
+			return err
+		}
+		if err := tx.Commit(); err != nil {
+			d.nextRID = savedRID
+			return err
+		}
+		return nil
+	})
 }

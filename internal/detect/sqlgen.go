@@ -35,6 +35,11 @@ func (d *Detector) generateSQL() {
 		checkSVRIDs:     d.genCheckSVRIDs(),
 		checkMVRIDs:     d.genCheckMVRIDs(),
 		mvRIDsSlice:     d.genMVRIDsSlice(),
+		counts: fmt.Sprintf("SELECT SUM(%[1]s), SUM(%[2]s), COUNT(*) FROM %[3]s WHERE %[1]s = 1 OR %[2]s = 1",
+			ColSV, ColMV, d.dataTable),
+		violations: d.genViolations(),
+		flags:      fmt.Sprintf("SELECT %s, %s, %s FROM %s", ColRID, ColSV, ColMV, d.dataTable),
+		rids:       fmt.Sprintf("SELECT %[1]s FROM %[2]s ORDER BY %[1]s", ColRID, d.dataTable),
 	}
 	// The batch-detection pipeline: the five fixed statements of
 	// BatchDetect as one script, submitted in a single driver round
@@ -296,23 +301,37 @@ func (d *Detector) genMVUpdate() string {
 		d.dataTable, ColMV, d.encTable, d.cidGuard(d.auxTable), d.auxProbe(d.auxTable))
 }
 
+// genViolations reads the flagged rows, every data column, in RID
+// order (served by the ordered RID index with no sort).
+func (d *Detector) genViolations() string {
+	cols := []string{ColRID}
+	for _, a := range d.schema.Attrs {
+		cols = append(cols, a.Name)
+	}
+	cols = append(cols, ColSV, ColMV)
+	return fmt.Sprintf("SELECT %s FROM %s WHERE (%s = 1 OR %s = 1) ORDER BY %s",
+		strings.Join(cols, ", "), d.dataTable, ColSV, ColMV, ColRID)
+}
+
 // --- advisory check (Check) ---
 //
 // The check statements run the two fixed detection queries over the
-// staging table alone, against the *current* flags and Aux — no merge,
-// no recompute, no writes outside the staging table. They back the
-// server's high-rate check endpoint: "would this tuple violate Σ?"
-// answered at read cost.
+// staging table alone, against the committed flags and Aux. Check
+// never writes the staging table: it runs them at a private overlay of
+// the committed view in which the staging table holds the candidate
+// tuples (sqldb.Snap.Overlay). They back the server's high-rate check
+// endpoint: "would this tuple violate Σ?" answered at read cost.
 
-// genCheckSVRIDs is Qsv over the staged batch: the staged tuples that
+// genCheckSVRIDs is Qsv over the candidate batch: the candidates that
 // violate some pattern constraint all by themselves. Exact — SV is a
-// per-tuple property, so staging answers it as well as merging would.
+// per-tuple property, so the candidates alone answer it as well as
+// merging would.
 func (d *Detector) genCheckSVRIDs() string {
 	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c\nWHERE %s\n  AND (%s)",
 		ColRID, d.insTable, d.encTable, d.lhsMatch(), d.rhsViolate())
 }
 
-// genCheckMVRIDs finds the staged tuples whose blanked projection
+// genCheckMVRIDs finds the candidate tuples whose blanked projection
 // matches a currently-violating group (an Aux(D) member) — the same
 // probe the incremental step's mvSetNew runs after a merge, minus the
 // merge. A tuple that would *newly* tip a clean group into violation

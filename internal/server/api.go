@@ -77,6 +77,14 @@ type GenSpec struct {
 // memory before it is loaded.
 const maxGenRows = 100_000
 
+// maxRequestRows caps the tuples one load, check or updates body
+// carries (for updates, inserted rows plus deleted RIDs); a larger
+// body is a bad_request. Checks run concurrently and each builds a
+// private copy of its candidates, so the byte cap alone would let one
+// check hold hundreds of thousands of rows. Larger loads go in several
+// requests.
+const maxRequestRows = 10_000
+
 // CreateSessionRequest opens a detection session. Exactly one of Spec
 // (the textual constraint language, all constraints over one table) or
 // Gen must be set. Workers configures the detect fan-out for this

@@ -17,6 +17,9 @@ func (s *Server) doLoad(ctx context.Context, sess *session, w http.ResponseWrite
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		return aerr
 	}
+	if aerr := capRows(len(req.Rows)); aerr != nil {
+		return aerr
+	}
 	inst, err := toRelation(sess.schema(), req.Rows)
 	if err != nil {
 		return asAPIError(err)
@@ -65,8 +68,10 @@ func (s *Server) doDetect(ctx context.Context, sess *session, w http.ResponseWri
 	return nil
 }
 
-// doCheck is the advisory hot path: stage the candidate tuples and run
-// the two fixed check queries against the current flags and Aux. See
+// doCheck is the advisory hot path: the two fixed check queries run
+// over the candidate tuples against the committed flags and Aux. It
+// takes no session lock — detect.Check writes nothing and reads the
+// committed view, so a check never waits behind an update. See
 // detect.Check for the verdict contract (SV exact; MV = membership in
 // a currently-violating group).
 func (s *Server) doCheck(ctx context.Context, sess *session, w http.ResponseWriter, r *http.Request) *APIError {
@@ -74,14 +79,15 @@ func (s *Server) doCheck(ctx context.Context, sess *session, w http.ResponseWrit
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		return aerr
 	}
+	if aerr := capRows(len(req.Rows)); aerr != nil {
+		return aerr
+	}
 	inst, err := toRelation(sess.schema(), req.Rows)
 	if err != nil {
 		return asAPIError(err)
 	}
 	start := time.Now()
-	sess.mu.Lock()
 	res, err := sess.det.Check(inst)
-	sess.mu.Unlock()
 	if err != nil {
 		return apiErrorf(CodeInternal, "check: %v", err)
 	}
@@ -107,6 +113,9 @@ func (s *Server) doUpdates(ctx context.Context, sess *session, w http.ResponseWr
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {
 		return apiErrorf(CodeBadRequest, "empty update: one of insert or delete is required")
 	}
+	if aerr := capRows(len(req.Insert) + len(req.Delete)); aerr != nil {
+		return aerr
+	}
 	var ins *relation.Relation
 	if len(req.Insert) > 0 {
 		var err error
@@ -130,6 +139,14 @@ func (s *Server) doUpdates(ctx context.Context, sess *session, w http.ResponseWr
 		out.Inserted.FirstRID = rids[0]
 	}
 	writeJSON(w, http.StatusOK, out)
+	return nil
+}
+
+// capRows rejects a body carrying more than maxRequestRows rows.
+func capRows(n int) *APIError {
+	if n > maxRequestRows {
+		return apiErrorf(CodeBadRequest, "body carries %d rows; the cap is %d rows per request", n, maxRequestRows)
+	}
 	return nil
 }
 

@@ -21,11 +21,12 @@ import (
 // statement set; the engine's plan cache then serves every later
 // request), and the detector state the requests share.
 //
-// mu serializes the state-mutating surface — load, detect, check,
-// updates all share the detector's staging tables and RID counter.
-// Violation reads do NOT take mu: they pin an MVCC snapshot through a
-// read-only transaction and run lock-free against it, concurrent with
-// whatever the writer side is doing.
+// mu serializes the state-mutating surface — load, detect and updates
+// share the detector's staging tables and RID counter. Checks and
+// violation reads do NOT take mu: they read the detector's committed
+// view (detect.Detector.View) — the state before the mutating call in
+// flight, or after the last one — and write nothing, so they run
+// concurrently with each other and with the writer side.
 type session struct {
 	id      string
 	name    string
@@ -84,8 +85,9 @@ func (s *session) health() SessionHealth {
 }
 
 // close releases the session's engine. It waits for the in-flight
-// mutating request (if any) to finish; read streams fail over to
-// database/sql's drain-on-close semantics.
+// mutating request (if any) to finish. Checks and violation streams in
+// flight hold no lock and finish against the snapshot they pinned,
+// which stays in memory until they close it.
 func (s *session) close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -181,7 +183,6 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 	if err := det.Install(); err != nil {
 		return fail(err)
 	}
-	det.BindEngine(sqldriver.Engine(dsn))
 
 	s := &session{
 		id:      fmt.Sprintf("s%d", r.seq.Add(1)),

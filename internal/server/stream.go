@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"database/sql"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"strings"
 
 	"ecfd/internal/relation"
+	"ecfd/internal/sqldb"
 )
 
 // streamPage is the keyset page size: large enough to amortize the
@@ -22,14 +22,14 @@ const streamPage = 2048
 //
 //	{"columns": ["RID", ..., "SV", "MV"], "rows": [[...], ...], "count": N}
 //
-// The whole stream runs inside a single read-only transaction, so it
-// observes one MVCC snapshot no matter how many updates land while the
-// client drains it. Pagination is keyset (RID > last ORDER BY RID), two
-// fixed statement shapes with a literal LIMIT so the plan cache serves
-// every page. The deferred Rollback releases the snapshot pin on every
-// exit path — normal completion, deadline, and client disconnect alike
-// (database/sql closes the driver conn when the context dies, and the
-// driver's conn.Close releases the pin).
+// The whole stream reads the detector's committed view
+// (detect.Detector.View), pinned once, so it observes one MVCC
+// snapshot — never a mutating call half applied — no matter how many
+// updates land while the client drains it. Pagination is keyset
+// (RID > last ORDER BY RID), two fixed statement shapes with a literal
+// LIMIT so the plan cache serves every page. The deferred Close
+// releases the snapshot pin on every exit path — normal completion,
+// deadline, and client disconnect alike.
 func (s *Server) doViolations(ctx context.Context, sess *session, w http.ResponseWriter, r *http.Request) *APIError {
 	lo, hi := int64(0), int64(0)
 	bounded := false
@@ -50,15 +50,11 @@ func (s *Server) doViolations(ctx context.Context, sess *session, w http.Respons
 
 	schema := sess.schema()
 	cols := make([]string, 0, len(schema.Attrs)+3)
-	kinds := make([]relation.Kind, 0, len(schema.Attrs)+3)
 	cols = append(cols, "RID")
-	kinds = append(kinds, relation.KindInt)
 	for _, a := range schema.Attrs {
 		cols = append(cols, a.Name)
-		kinds = append(kinds, a.Kind)
 	}
 	cols = append(cols, "SV", "MV")
-	kinds = append(kinds, relation.KindInt, relation.KindInt)
 
 	// Two fixed shapes: open range and bounded range. The LIMIT is a
 	// literal on purpose — parameterized LIMITs would defeat the plan
@@ -69,11 +65,15 @@ func (s *Server) doViolations(ctx context.Context, sess *session, w http.Respons
 	openQ := base + tail
 	boundedQ := base + " AND RID <= ?" + tail
 
-	tx, err := sess.db.BeginTx(ctx, &sql.TxOptions{ReadOnly: true})
-	if err != nil {
-		return apiErrorf(CodeInternal, "begin snapshot: %v", err)
+	view := sess.det.View()
+	defer view.Close()
+	page := func(q string, args ...relation.Value) (*sqldb.Result, error) {
+		p, err := sess.eng.Prepare(q)
+		if err != nil {
+			return nil, err
+		}
+		return p.QueryAt(view, args...)
 	}
-	defer tx.Rollback()
 
 	w.Header().Set("Content-Type", "application/json")
 	flusher, _ := w.(http.Flusher)
@@ -92,60 +92,37 @@ func (s *Server) doViolations(ctx context.Context, sess *session, w http.Respons
 		if ctx.Err() != nil {
 			// Deadline or disconnect mid-stream: the body is already
 			// partially written, so just stop — the truncated JSON is
-			// the client's signal. Rollback releases the snapshot.
+			// the client's signal. The deferred Close releases the
+			// snapshot.
 			return nil
 		}
-		var rows *sql.Rows
+		var res *sqldb.Result
+		var err error
 		if bounded {
-			rows, err = tx.QueryContext(ctx, boundedQ, last, hi)
+			res, err = page(boundedQ, relation.Int(last), relation.Int(hi))
 		} else {
-			rows, err = tx.QueryContext(ctx, openQ, last)
+			res, err = page(openQ, relation.Int(last))
 		}
 		if err != nil {
 			return nil // stream already started; terminate silently
 		}
 		n := 0
-		for rows.Next() {
-			cells := make([]sql.NullString, len(cols))
-			ptrs := make([]any, len(cols))
-			for i := range ptrs {
-				ptrs[i] = &cells[i]
-			}
-			if err := rows.Scan(ptrs...); err != nil {
-				rows.Close()
-				return nil
-			}
-			out := make([]any, len(cols))
-			for i, c := range cells {
-				if !c.Valid {
-					out[i] = nil
-					continue
-				}
-				v, perr := relation.ParseLiteral(c.String, kinds[i])
-				if perr != nil {
-					rows.Close()
-					return nil
-				}
+		for _, row := range res.Rows {
+			out := make([]any, len(row))
+			for i, v := range row {
 				out[i] = cellJSON(v)
-				if i == 0 {
-					last = v.I
-				}
 			}
+			last = row[0].I
 			line, _ := json.Marshal(out)
 			sep := ","
 			if first {
 				sep, first = "", false
 			}
 			if !emit(sep + string(line)) {
-				rows.Close()
 				return nil
 			}
 			n++
 			count++
-		}
-		closeErr := rows.Close()
-		if rows.Err() != nil || closeErr != nil {
-			return nil
 		}
 		if flusher != nil {
 			flusher.Flush()

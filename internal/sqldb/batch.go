@@ -1121,9 +1121,10 @@ rowLoop:
 		pb.keyBuf = key
 		var hit bool
 		if pb.d != nil {
-			// Per-probe locking inside probe(): no structure lock is held
-			// across the surrounding closure evaluations.
-			hit = len(pb.d.probe(string(key), pb.fence)) > 0
+			// probe() reads the published map generation lock-free: no
+			// structure lock is held across the surrounding closure
+			// evaluations.
+			hit = len(pb.d.probe(key, pb.fence)) > 0
 		} else {
 			hit = pb.set[string(key)]
 		}

@@ -166,8 +166,8 @@ type indexSlot struct {
 
 // indexData holds one epoch-lineage's built structures for an index:
 //
-//   - m, a hash map from encoded key to ascending row positions,
-//     covering rows [0, mCover) — answers equality probes in O(1);
+//   - eq, the equality map (see eqMap) — answers equality probes in
+//     O(1) with no lock;
 //   - sorted, row positions ordered by the index-column values (ties
 //     by position). sorted[:f] is a valid in-order view of rows
 //     [0, f) for every fence f with sBase <= f <= len(sorted); a
@@ -180,11 +180,37 @@ type indexSlot struct {
 // readable after release (growth only appends, and bucket arrays are
 // replaced wholesale when forked).
 type indexData struct {
-	mu     sync.RWMutex
-	m      map[string][]int
-	mCover int
+	mu sync.RWMutex
+	eq atomic.Pointer[eqMap]
+	// grow, when non-nil, is eq's private successor: a copy of its
+	// headers extended in place under mu, covering more rows than eq,
+	// until it is published as eq (see extendEq).
+	grow   *eqMap
 	sorted []int
 	sBase  int
+}
+
+// eqMap is one generation of an index's equality map: a hash map from
+// encoded key to ascending row positions, covering rows [0, cover).
+// The published generation (indexData.eq) is never written again, so a
+// probe at a fence it covers reads it with one atomic load and takes
+// no lock: probes from different cores never contend on a shared
+// reader count — the detector's pattern-set indexes take millions of
+// probes from a writer's script and from concurrent checks at once.
+// Only a probe above the published cover, into rows appended since,
+// reads the growing successor under the read lock.
+type eqMap struct {
+	m     map[string][]int
+	cover int
+}
+
+// full returns the index's whole equality map, growing successor
+// included, or nil if it was never built. Callers hold mu.
+func (d *indexData) full() *eqMap {
+	if d.grow != nil {
+		return d.grow
+	}
+	return d.eq.Load()
 }
 
 // colData is one epoch-lineage's columnar scan cache:
@@ -322,6 +348,9 @@ func (db *DB) installEpoch(ne *epoch) {
 type Snap struct {
 	db *DB
 	ep *epoch
+	// private marks an Overlay view: its epoch was never published and
+	// carries no pin.
+	private bool
 }
 
 // PinSnapshot pins the current epoch until Close.
@@ -332,9 +361,82 @@ func (db *DB) PinSnapshot() *Snap {
 // Close releases the snapshot's epoch pin.
 func (s *Snap) Close() {
 	if s.ep != nil {
-		s.db.unpin(s.ep)
+		if !s.private {
+			s.db.unpin(s.ep)
+		}
 		s.ep = nil
 	}
+}
+
+// Clone adds one more pin to the snapshot's epoch and returns it as a
+// snapshot of its own, so two holders can release the same epoch
+// independently. s must be open.
+func (s *Snap) Clone() *Snap {
+	if !s.private {
+		s.ep.pins.Add(1)
+	}
+	return &Snap{db: s.db, ep: s.ep, private: s.private}
+}
+
+// overlaySeq numbers overlay row stores. Their tableData versions
+// carry the top bit, which a published version (one increment per
+// statement, from zero) never reaches, so per-execution caches keyed
+// by version can never mistake an overlay for a published row state.
+var overlaySeq atomic.Uint64
+
+const overlayVersionBit = 1 << 63
+
+// Overlay returns a read view of s's epoch with table's rows replaced
+// by rows, coerced to the column kinds as INSERT would. The view lives
+// in a private epoch: it is never published, logged or locked, and no
+// writer or other reader ever sees it. Every other table, and every
+// structure built for it, is shared with s. The view holds no pin of
+// its own — it is valid while s is, and closing it is optional.
+func (s *Snap) Overlay(table string, rows []relation.Tuple) (*Snap, error) {
+	if s.ep == nil {
+		return nil, fmt.Errorf("sql: Overlay on a closed snapshot")
+	}
+	t, err := s.ep.table(table)
+	if err != nil {
+		return nil, err
+	}
+	w := t.Schema.Width()
+	own := make([]relation.Tuple, len(rows))
+	for i, row := range rows {
+		if len(row) != w {
+			return nil, fmt.Errorf("sql: overlay row %d has %d values for the %d columns of %s", i, len(row), w, table)
+		}
+		nr := make(relation.Tuple, w)
+		for j, v := range row {
+			if nr[j], err = coerce(v, t.Schema.Attrs[j].Kind, t.Schema.Attrs[j].Name); err != nil {
+				return nil, err
+			}
+		}
+		own[i] = nr
+	}
+	old := s.ep.tds[t]
+	ntd := &tableData{
+		rows:    own,
+		version: overlayVersionBit | overlaySeq.Add(1),
+		cols:    &colData{},
+	}
+	if len(old.indexes) > 0 {
+		ntd.indexes = make([]indexSlot, len(old.indexes))
+		for i, sl := range old.indexes {
+			ntd.indexes[i] = indexSlot{idx: sl.idx, data: &indexData{}}
+		}
+	}
+	ne := &epoch{
+		seq:        s.ep.seq,
+		ddlVersion: s.ep.ddlVersion,
+		tables:     s.ep.tables,
+		tds:        make(map[*Table]*tableData, len(s.ep.tds)),
+	}
+	for tt, td := range s.ep.tds {
+		ne.tds[tt] = td
+	}
+	ne.tds[t] = ntd
+	return &Snap{db: s.db, ep: ne, private: true}, nil
 }
 
 // Stats is the operational counters surface: where the epoch chain
@@ -867,8 +969,12 @@ func (td *tableData) indexData(idx *Index) *indexData {
 func (td *tableData) lookupEq(t *Table, idx *Index) (*indexData, int) {
 	d := td.indexData(idx)
 	f := len(td.rows)
+	if e := d.eq.Load(); e != nil && e.cover >= f {
+		return d, f
+	}
 	d.mu.RLock()
-	ok := d.m != nil && d.mCover >= f
+	e := d.full()
+	ok := e != nil && e.cover >= f
 	d.mu.RUnlock()
 	if !ok {
 		d.extendEq(idx, td.rows, f)
@@ -888,19 +994,40 @@ func (td *tableData) lookupEq(t *Table, idx *Index) (*indexData, int) {
 // one int per row, appended in place on monotone inserts.
 func (td *tableData) eqViaOrdered(idx *Index) bool {
 	d := td.indexData(idx)
+	if d.eq.Load() != nil {
+		return false
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.m == nil && (d.sorted == nil || d.sBase <= len(td.rows))
+	return d.sorted == nil || d.sBase <= len(td.rows)
 }
 
-// extendEq builds (or grows) the equality map to cover fence f.
+// growCopyRatio bounds what publishing a grown equality map costs:
+// the successor is published once the rows appended since the last
+// publication number at least 1/growCopyRatio of its keys, so each
+// key header copied is paid for by that many appended rows.
+const growCopyRatio = 64
+
+// extendEq builds the equality map, or grows it to cover fence f. A
+// first build is published at once. Growth goes to the private
+// successor (grow), made on the first growth after a publication by
+// copying the published map's headers (not its buckets) and then
+// extended in place, so a long run of single-row appends each followed
+// by a probe costs O(1) per row; it is published under the
+// growCopyRatio rule, at once for a small map. Appends may extend a
+// bucket array in place past the length a published generation reads,
+// never inside it, and only the successor is ever extended, so no cell
+// a published generation can see is ever written.
 func (d *indexData) extendEq(idx *Index, rows []relation.Tuple, f int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.m == nil {
-		m := make(map[string][]int, f)
-		key := make([]relation.Value, len(idx.Cols))
-		for ri := 0; ri < f; ri++ {
+	e := d.full()
+	if e != nil && e.cover >= f {
+		return
+	}
+	key := make([]relation.Value, len(idx.Cols))
+	add := func(m map[string][]int, from int) {
+		for ri := from; ri < f; ri++ {
 			row := rows[ri]
 			for i, c := range idx.Cols {
 				key[i] = row[c]
@@ -908,35 +1035,47 @@ func (d *indexData) extendEq(idx *Index, rows []relation.Tuple, f int) {
 			k := relation.KeyOf(key)
 			m[k] = append(m[k], ri)
 		}
-		d.m = m
-		d.mCover = f
+	}
+	if e == nil {
+		m := make(map[string][]int, f)
+		add(m, 0)
+		d.eq.Store(&eqMap{m: m, cover: f})
 		idx.rebuilds.Add(1)
 		return
 	}
-	if d.mCover >= f {
-		return
-	}
-	key := make([]relation.Value, len(idx.Cols))
-	for ri := d.mCover; ri < f; ri++ {
-		row := rows[ri]
-		for i, c := range idx.Cols {
-			key[i] = row[c]
+	g := d.grow
+	if g == nil {
+		g = &eqMap{m: make(map[string][]int, len(e.m)+f-e.cover), cover: e.cover}
+		for k, b := range e.m {
+			g.m[k] = b
 		}
-		k := relation.KeyOf(key)
-		d.m[k] = append(d.m[k], ri)
+		d.grow = g
 	}
-	d.mCover = f
+	add(g.m, g.cover)
+	g.cover = f
+	if pub := d.eq.Load(); len(g.m) <= growCopyRatio*(g.cover-pub.cover) {
+		d.eq.Store(g)
+		d.grow = nil
+	}
 }
 
 // probe returns the ascending row positions matching an encoded key,
-// cut to the caller's fence. The bucket header is snapshotted under
-// RLock and used after release: bucket growth only appends positions
-// >= every older fence at the end, and forks replace bucket arrays
-// wholesale, so the snapshotted cells are stable.
-func (d *indexData) probe(key string, fence int) []int {
-	d.mu.RLock()
-	b := d.m[key]
-	d.mu.RUnlock()
+// cut to the caller's fence (the caller's lookupEq made the map cover
+// it). At a fence the published generation covers it takes no lock;
+// above it, it reads the growing successor under the read lock. The
+// bucket header is used after release: bucket growth only appends
+// positions >= every older fence past the lengths older readers saw,
+// and forks replace bucket arrays wholesale. The key is taken as bytes
+// because indexing a map by a converted slice does not allocate.
+func (d *indexData) probe(key []byte, fence int) []int {
+	var b []int
+	if e := d.eq.Load(); e.cover >= fence {
+		b = e.m[string(key)]
+	} else {
+		d.mu.RLock()
+		b = d.full().m[string(key)]
+		d.mu.RUnlock()
+	}
 	if n := len(b); n == 0 || b[n-1] < fence {
 		return b
 	}
@@ -1127,14 +1266,14 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	if d.m != nil {
-		nm := make(map[string][]int, len(d.m))
-		for k, b := range d.m {
+	if e := d.full(); e != nil {
+		nm := make(map[string][]int, len(e.m))
+		for k, b := range e.m {
 			nm[k] = b[:len(b):len(b)]
 		}
 		key := make([]relation.Value, len(idx.Cols))
 		for _, ri := range pos {
-			if ri >= d.mCover {
+			if ri >= e.cover {
 				continue
 			}
 			for i, c := range idx.Cols {
@@ -1146,7 +1285,7 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 			}
 			bucketInsert(nm, relation.KeyOf(key), ri)
 		}
-		nd.m, nd.mCover = nm, d.mCover
+		nd.eq.Store(&eqMap{m: nm, cover: e.cover})
 	}
 	if d.sorted != nil {
 		cover := len(d.sorted)
@@ -1179,9 +1318,9 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	if d.m != nil {
-		nm := make(map[string][]int, len(d.m))
-		for k, b := range d.m {
+	if e := d.full(); e != nil {
+		nm := make(map[string][]int, len(e.m))
+		for k, b := range e.m {
 			if len(dels) == 0 || b[len(b)-1] < dels[0] {
 				nm[k] = b[:len(b):len(b)]
 				continue
@@ -1190,8 +1329,7 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 				nm[k] = keep
 			}
 		}
-		nd.m = nm
-		nd.mCover = d.mCover - sort.SearchInts(dels, d.mCover)
+		nd.eq.Store(&eqMap{m: nm, cover: e.cover - sort.SearchInts(dels, e.cover)})
 	}
 	if d.sorted != nil {
 		nd.sorted = remapDeleted(make([]int, 0, len(d.sorted)), d.sorted, dels)
@@ -1230,8 +1368,8 @@ func (d *indexData) forkTruncated() *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	if d.m != nil {
-		nd.m = make(map[string][]int)
+	if d.eq.Load() != nil {
+		nd.eq.Store(&eqMap{m: make(map[string][]int)})
 	}
 	if d.sorted != nil {
 		nd.sorted = make([]int, 0)

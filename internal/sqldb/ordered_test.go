@@ -50,11 +50,12 @@ func verifyIndexConsistent(t *testing.T, db *DB, table, name string) {
 	t.Helper()
 	idx, d, rows := testEpochIndex(t, db, table, name)
 	d.mu.RLock()
-	m, mCover := d.m, d.mCover
+	e := d.full()
 	sorted, sBase := d.sorted, d.sBase
 	d.mu.RUnlock()
 
-	if m != nil {
+	if e != nil {
+		m, mCover := e.m, e.cover
 		if mCover > len(rows) {
 			t.Fatalf("index %s map covers %d rows of %d", name, mCover, len(rows))
 		}

@@ -1235,7 +1235,7 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 			key = append(key, 0x1f)
 		}
 		p.keyBuf = key
-		return id.probe(string(key), fence), false, nil
+		return id.probe(key, fence), false, nil
 	}
 	if p.pfx != nil {
 		// Compound-prefix probe: binary-searched equality on the index's

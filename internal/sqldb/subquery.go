@@ -403,9 +403,9 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 		return func(en *env) (relation.Value, error) {
 			// lookupEq resolves the epoch's index structure (building or
 			// extending the shared map under its own lock) and the row
-			// fence; probe() then takes a short per-probe read lock — no
-			// structure lock is ever held across key evaluation. The key
-			// scratch is per env: closures are shared across goroutines.
+			// fence; probe() then reads the published map generation with
+			// no lock at all. The key scratch is per env: closures are
+			// shared across goroutines.
 			id, fence := en.td(t).lookupEq(t, idx)
 			ps := pk.scratch(en)
 			ok, err := pk.eval(en, ps)
@@ -421,7 +421,7 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 				keyBuf = append(keyBuf, 0x1f)
 			}
 			ps.keyBuf = keyBuf
-			return relation.Bool((len(id.probe(string(keyBuf), fence)) > 0) != neg), nil
+			return relation.Bool((len(id.probe(keyBuf, fence)) > 0) != neg), nil
 		}, nil
 	}
 

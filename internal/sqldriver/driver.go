@@ -182,6 +182,17 @@ type conn struct {
 	snap *sqldb.Snap // non-nil inside a ReadOnly transaction
 }
 
+// EngineOf returns the engine behind a connection of this driver — the
+// value database/sql's Conn.Raw passes to its callback — and false for
+// a connection of any other driver.
+func EngineOf(driverConn any) (*sqldb.DB, bool) {
+	c, ok := driverConn.(*conn)
+	if !ok {
+		return nil, false
+	}
+	return c.db, true
+}
+
 func (c *conn) Prepare(query string) (driver.Stmt, error) {
 	// The engine's Prepare returns the cached compiled plan for this
 	// statement text, so repeated database/sql Prepare/Exec cycles (the
